@@ -26,7 +26,6 @@ struct SiteResult {
   double thp_mbps = 0;
 };
 
-const char* site_names[] = {"UT2", "WI", "CLEM", "MA"};
 const NodeId site_ids[] = {cloudlab::kUtah2, cloudlab::kWisconsin,
                            cloudlab::kClemson, cloudlab::kMassachusetts};
 

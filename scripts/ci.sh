@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI: plain build + full ctest, bench smokes (data-plane fan-out,
+# Tier-1 CI: plain build + full ctest, a -Werror optimized build, bench smokes (data-plane fan-out,
 # the control-plane dispatch + MT producer curve, and the sharded scale-out
 # throughput floor), a chaos property sweep
 # under fresh random seeds, then sanitizer passes: one configurable pass over
@@ -35,6 +35,13 @@ cmake --build "$ROOT/build" -j
 
 echo "==> tier-1: ctest"
 ctest --test-dir "$ROOT/build" --output-on-failure
+
+echo "==> -Werror: optimized build of every target (build-werror/)"
+# Any warning fails this leg. -O3 also brings in the optimizer-driven
+# diagnostics (-Wrestrict, -Wmaybe-uninitialized, ...) that -O2 may miss.
+cmake -B "$ROOT/build-werror" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror "$@"
+cmake --build "$ROOT/build-werror" -j
 
 echo "==> data-plane hot path bench (smoke)"
 # Runs in build/ so the smoke JSON does not clobber the committed full-mode

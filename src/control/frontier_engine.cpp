@@ -40,24 +40,24 @@ Result<dsl::Predicate> FrontierEngine::compile(const std::string& source) {
 }
 
 void FrontierEngine::index_entry(Entry& entry) {
-  for (StabilityTypeId t : entry.predicate.referenced_types())
+  for (StabilityTypeId t : entry.predicate.referenced_types()) {
+    const size_t rows_end = index_slot(t + 1, 0);
+    if (index_.size() < rows_end) index_.resize(rows_end);
     for (NodeId n : entry.predicate.referenced_nodes()) {
-      uint64_t key = cell_key(t, n);
-      index_[key].push_back(&entry);
-      entry.index_keys.push_back(key);
+      const size_t slot = index_slot(t, n);
+      index_[slot].push_back(&entry);
+      entry.index_slots.push_back(slot);
     }
+  }
 }
 
 void FrontierEngine::deindex_entry(Entry& entry) {
-  for (uint64_t key : entry.index_keys) {
-    auto it = index_.find(key);
-    if (it == index_.end()) continue;
-    auto& bucket = it->second;
+  for (size_t slot : entry.index_slots) {
+    auto& bucket = index_[slot];
     bucket.erase(std::remove(bucket.begin(), bucket.end(), &entry),
                  bucket.end());
-    if (bucket.empty()) index_.erase(it);
   }
-  entry.index_keys.clear();
+  entry.index_slots.clear();
 }
 
 Status FrontierEngine::register_predicate(const std::string& key,
@@ -203,15 +203,15 @@ void FrontierEngine::dispatch_cell(StabilityTypeId type, NodeId node,
     }
     return;
   }
-  auto it = index_.find(cell_key(type, node));
-  const size_t affected = it == index_.end() ? 0 : it->second.size();
+  const size_t slot = index_slot(type, node);
+  const size_t affected = slot < index_.size() ? index_[slot].size() : 0;
   evals_skipped_index_ += entries_.size() - affected;
   if (affected == 0) return;
-  // Bounds-checked index loop: monitor/waiter callbacks may re-enter and
-  // grow/shrink this bucket via register/change_predicate.
-  auto& bucket = it->second;
-  for (size_t i = 0; i < bucket.size(); ++i) {
-    Entry* e = bucket[i];
+  // Slot-indexed loop, re-fetching the bucket every step: monitor/waiter
+  // callbacks may re-enter and grow/shrink this bucket or reallocate index_
+  // via register/change_predicate.
+  for (size_t i = 0; i < index_[slot].size(); ++i) {
+    Entry* e = index_[slot][i];
     if (e->predicate.eval_skippable(old_value, seq, e->frontier)) {
       ++evals_skipped_binding_;
       continue;
@@ -231,66 +231,70 @@ bool FrontierEngine::on_ack(StabilityTypeId type, NodeId node, SeqNum seq,
 
 size_t FrontierEngine::on_ack_batch(std::span<const AckUpdate> updates) {
   if (dispatch_ == DispatchMode::kLegacyScan) {
-    // Differential baseline: the seed's per-report behaviour.
+    // Differential baseline: the seed's per-report behaviour. Callbacks run
+    // between reports, so copy the batch first (see the contract on
+    // `updates` in the header).
+    const std::vector<AckUpdate> copy(updates.begin(), updates.end());
     size_t advanced = 0;
-    for (const AckUpdate& u : updates)
+    for (const AckUpdate& u : copy)
       if (on_ack(u.type, u.node, u.seq, u.extra)) ++advanced;
     return advanced;
   }
 
-  // Phase 1: max-merge the whole batch, collecting the deduplicated set of
-  // affected entries. `stamp` is captured locally so that re-entrant
-  // batches (a monitor calling send/report_stability) cannot corrupt this
-  // invocation's dedup marks — a re-entrant touch merely causes one extra
-  // idempotent eval.
+  // Phase 1: max-merge the whole batch, queueing the deduplicated set of
+  // affected entries above `base` on the work list. No callback runs in this
+  // phase. `stamp` is captured locally so that re-entrant batches (a monitor
+  // calling send/report_stability) cannot corrupt this invocation's dedup
+  // marks — a re-entrant touch merely causes one extra idempotent eval.
   const uint64_t stamp = ++batch_stamp_;
-  std::vector<Entry*> dirty;
+  const size_t base = work_.size();
   size_t advanced = 0;
   for (const AckUpdate& u : updates) {
     int64_t old_value = kNoSeq;
     if (!acks_.update(u.type, u.node, u.seq, &old_value)) continue;
     ++advanced;
     STAB_OBS(if (u.seq > high_water_) high_water_ = u.seq);
-    auto it = index_.find(cell_key(u.type, u.node));
-    const size_t affected = it == index_.end() ? 0 : it->second.size();
+    const size_t slot = index_slot(u.type, u.node);
+    const size_t affected = slot < index_.size() ? index_[slot].size() : 0;
     evals_skipped_index_ += entries_.size() - affected;
-    if (affected == 0) continue;
-    for (Entry* e : it->second) {
+    for (size_t i = 0; i < affected; ++i) {
+      Entry* e = index_[slot][i];
       // Binding-cell skip relative to the pre-batch frontier: sound because
       // each skippable update individually leaves the frontier fixed, so by
       // induction the whole batch does too (unless some other update dirties
       // the entry, in which case the final eval sees the full table anyway).
+      // A skipped report therefore never routes its extra.
       if (e->predicate.eval_skippable(old_value, u.seq, e->frontier)) {
         ++evals_skipped_binding_;
         continue;
       }
       if (e->batch_stamp == stamp) {
         ++evals_skipped_index_;  // coalesced into this batch's one eval
-        // Highest-sequence advancing report's extra wins: that report is the
-        // one that determined the coalesced frontier, matching the extra the
-        // legacy per-report path would have fired last.
-        if (u.seq > e->pending_extra_seq) {
-          e->pending_extra = u.extra;
-          e->pending_extra_seq = u.seq;
+        // Highest-sequence routed report's extra wins (DESIGN.md §4c).
+        WorkItem& w = work_[e->work_pos];
+        if (u.seq > w.extra_seq) {
+          w.extra = u.extra;
+          w.extra_seq = u.seq;
         }
         continue;
       }
       e->batch_stamp = stamp;
-      e->pending_extra = u.extra;
-      e->pending_extra_seq = u.seq;
-      dirty.push_back(e);
+      e->work_pos = work_.size();
+      work_.push_back(WorkItem{e, u.extra, u.seq});
     }
   }
 
-  // Phase 2: one eval per affected predicate. Entries are stable across
-  // callbacks (change_predicate swaps in place; remove_predicate from a
-  // callback is unsupported, as in the legacy scan).
-  for (Entry* e : dirty) {
-    BytesView extra = e->pending_extra;
-    e->pending_extra = {};
-    e->pending_extra_seq = kNoSeq;
-    reevaluate(*e, extra, /*allow_regress=*/false);
+  // Phase 2: one eval per queued entry. Items are read by position because
+  // a nested batch pushes above `end` (possibly reallocating work_) and
+  // truncates back before returning. Entries are stable across callbacks
+  // (change_predicate swaps in place; remove_predicate from a callback is
+  // unsupported, as in the legacy scan).
+  const size_t end = work_.size();
+  for (size_t i = base; i < end; ++i) {
+    const WorkItem w = work_[i];
+    reevaluate(*w.entry, w.extra, /*allow_regress=*/false);
   }
+  work_.resize(base);
   return advanced;
 }
 
@@ -364,12 +368,21 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
   while (fired < entry.waiters.size() && entry.waiters[fired].seq <= next)
     ++fired;
   if (fired > 0) {
-    std::vector<Waiter> ready(
-        std::make_move_iterator(entry.waiters.begin()),
-        std::make_move_iterator(entry.waiters.begin() + fired));
+    // Staged on the wake_ stack, like work_: a callback may re-enter and
+    // wake others above `end`, reallocating wake_, so each callback is
+    // moved out before it runs.
+    const size_t base = wake_.size();
+    wake_.insert(wake_.end(),
+                 std::make_move_iterator(entry.waiters.begin()),
+                 std::make_move_iterator(entry.waiters.begin() + fired));
     entry.waiters.erase(entry.waiters.begin(),
                         entry.waiters.begin() + fired);
-    for (auto& w : ready) w.fn(next);
+    const size_t end = wake_.size();
+    for (size_t i = base; i < end; ++i) {
+      WaiterFn fn = std::move(wake_[i].fn);
+      fn(next);
+    }
+    wake_.resize(base);
   }
 }
 

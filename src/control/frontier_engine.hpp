@@ -8,16 +8,18 @@
 // (paper §III-D interfaces).
 //
 // Hot-path dispatch (DESIGN.md §4c): instead of scanning every registered
-// predicate per report, the engine maintains a reverse dependency index
-// (type, node) -> [entries], rebuilt on register/change/remove. Whole ack
-// batches are applied with on_ack_batch(): the batch is max-merged into the
-// AckTable first, the affected entries are collected (deduplicated), and
-// each predicate re-evaluates exactly once per batch — monotonicity makes
-// the coalescing lossless (§III-A). Specialized predicates additionally
-// skip provably no-op evaluations via their cached binding bound
-// (Predicate::eval_skippable). set_dispatch_mode(kLegacyScan) restores the
-// original scan-everything/eval-per-report behaviour for differential tests
-// and the bench_control_hotpath baseline.
+// predicate per report, the engine maintains a dense reverse dependency
+// index [type x node] -> [entries], updated on register/change/remove. Whole
+// ack batches are applied with on_ack_batch(): the batch is max-merged into
+// the AckTable first, the affected entries are collected (deduplicated) on a
+// reusable work list, and each predicate re-evaluates at most once per
+// batch — monotonicity makes the coalescing lossless (§III-A). Specialized
+// predicates additionally skip provably no-op evaluations via the
+// binding-cell rule (Predicate::eval_skippable). Once warmed up, applying a
+// batch allocates nothing, waiter wake-ups included.
+// set_dispatch_mode(kLegacyScan) restores the original
+// scan-everything/eval-per-report behaviour for differential tests and the
+// bench_control_hotpath baseline.
 //
 // The engine is synchronous and single-threaded by design: callers (the
 // Stabilizer core, tests) drive it from their Env thread, which is what
@@ -31,7 +33,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -130,10 +131,12 @@ class FrontierEngine {
               BytesView extra = {});
 
   /// Batch apply: max-merges every update into the AckTable first, then
-  /// re-evaluates each affected predicate exactly once (kIndexed mode;
+  /// re-evaluates each affected predicate at most once (kIndexed mode;
   /// kLegacyScan applies per entry). Returns the number of updates that
   /// advanced the table. Cost is O(affected predicates per batch), not
-  /// O(predicates x updates).
+  /// O(predicates x updates). `updates` is read only before the first
+  /// monitor/waiter callback runs, so it may view a caller's scratch buffer
+  /// that a re-entrant callback grows (and reallocates).
   size_t on_ack_batch(std::span<const AckUpdate> updates);
 
   /// Re-evaluate every predicate (used after bulk table mutation/recovery).
@@ -193,10 +196,9 @@ class FrontierEngine {
     SeqNum frontier = kNoSeq;
     std::vector<MonitorFn> monitors;
     std::vector<Waiter> waiters;  // kept sorted by seq ascending
-    std::vector<uint64_t> index_keys;  // cells this entry is indexed under
-    uint64_t batch_stamp = 0;          // dedup marker (see on_ack_batch)
-    BytesView pending_extra{};         // extra routed to this entry's eval
-    SeqNum pending_extra_seq = kNoSeq; // seq of the report carrying it
+    std::vector<size_t> index_slots;  // index_ buckets this entry sits in
+    uint64_t batch_stamp = 0;         // dedup marker (see on_ack_batch)
+    size_t work_pos = 0;              // its work_ item while stamped
     FrontierBoard::Slot* board_slot = nullptr;  // wait-free published copy
 #if STAB_OBS_ENABLED
     std::string key;                   // registration key (trace detail)
@@ -204,8 +206,19 @@ class FrontierEngine {
 #endif
   };
 
-  static uint64_t cell_key(StabilityTypeId type, NodeId node) {
-    return (static_cast<uint64_t>(type) << 32) | node;
+  /// One entry queued for evaluation by an on_ack_batch() call, with the
+  /// extra of the highest-sequence report routed to it.
+  struct WorkItem {
+    Entry* entry;
+    BytesView extra;
+    SeqNum extra_seq;
+  };
+
+  /// index_ bucket of cell (type, node); out of range when no registered
+  /// predicate has ever referenced `type`. Callbacks may grow index_, so
+  /// callers re-fetch the bucket by slot after each one.
+  size_t index_slot(StabilityTypeId type, NodeId node) const {
+    return static_cast<size_t>(type) * acks_.num_nodes() + node;
   }
 
   Result<dsl::Predicate> compile(const std::string& source);
@@ -228,7 +241,13 @@ class FrontierEngine {
   AckTable acks_;
   FrontierBoard board_;
   std::map<std::string, std::unique_ptr<Entry>> entries_;
-  std::unordered_map<uint64_t, std::vector<Entry*>> index_;
+  // Dense reverse index, [type x node] row-major (index_slot); grows by
+  // whole type rows as predicates reference new types.
+  std::vector<std::vector<Entry*>> index_;
+  // Re-entrant work list: each on_ack_batch() call owns the items above the
+  // size it found, and truncates back to it before returning.
+  std::vector<WorkItem> work_;
+  std::vector<Waiter> wake_;  // waiters being woken, used the same way
   uint64_t batch_stamp_ = 0;
   uint64_t predicate_evals_ = 0;
   uint64_t evals_skipped_index_ = 0;

@@ -219,7 +219,7 @@ SeqNum Stabilizer::send(BytesView payload, uint64_t virtual_size) {
     arm_flush();  // batch with the rest of this event-loop turn's sends
   else
     pump_windows();
-  apply_origin_rule_for_send(seq);
+  apply_origin_rule(options_.self, seq);
   maybe_reclaim();  // single-node clusters reclaim immediately
   return seq;
 }
@@ -398,16 +398,24 @@ void Stabilizer::transmit_batch(NodeId dst, SeqNum first, size_t count) {
 #endif
 }
 
-void Stabilizer::apply_origin_rule_for_send(SeqNum seq) {
+void Stabilizer::apply_origin_rule(NodeId origin, SeqNum seq) {
   // §III-C: "all stability properties hold for the WAN node that originated
-  // a message" — advance every type's self cell on the self stream, as one
-  // batch so predicates spanning several types re-evaluate once. The vector
-  // is local because callbacks fired by the batch may re-enter send().
-  std::vector<AckUpdate> updates;
-  updates.reserve(types_.count());
+  // a message" — this node sequenced `seq` on `origin`'s stream (its own,
+  // or one adopted after failover), so advance every type's self cell on
+  // that stream, as one batch so predicates spanning several types
+  // re-evaluate once.
+  const size_t base = ack_scratch_.mark();
   for (StabilityTypeId t = 0; t < types_.count(); ++t)
-    updates.push_back(AckUpdate{t, options_.self, seq, {}});
-  engines_[options_.self]->on_ack_batch(updates);
+    ack_scratch_.push(origin, AckUpdate{t, options_.self, seq, {}});
+  apply_staged(base);
+}
+
+void Stabilizer::apply_staged(size_t base) {
+  ack_scratch_.apply(base, [this](NodeId origin,
+                                  std::span<const AckUpdate> updates) {
+    engines_[origin]->on_ack_batch(updates);
+  });
+  ack_scratch_.release(base);
 }
 
 // --- receive path ----------------------------------------------------------------
@@ -583,24 +591,22 @@ void Stabilizer::drain_pipeline() {
     // node == self are local report_stability fast-path entries — they must
     // also flush to peers, which remote-reported cells must not (a node
     // never re-broadcasts another reporter's acks).
-    std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
-    struct SelfMark {
-      NodeId origin;
-      StabilityTypeId type;
-      SeqNum seq;
-    };
-    std::vector<SelfMark> self_marks;
+    const size_t base = ack_scratch_.mark();
     size_t cells = pipeline_->drain_cells(
         [&](NodeId origin, StabilityTypeId type, NodeId node, SeqNum seq) {
-          per_origin[origin].push_back(AckUpdate{type, node, seq, {}});
-          if (node == options_.self)
-            self_marks.push_back(SelfMark{origin, type, seq});
+          ack_scratch_.push(origin, AckUpdate{type, node, seq, {}});
         });
-    for (NodeId origin = 0; origin < per_origin.size(); ++origin)
-      if (!per_origin[origin].empty())
-        engines_[origin]->on_ack_batch(per_origin[origin]);
-    for (const SelfMark& m : self_marks)
-      mark_dirty(m.origin, m.type, m.seq, {});
+    const size_t drained = ack_scratch_.mark();
+    ack_scratch_.apply(base, [this](NodeId origin,
+                                    std::span<const AckUpdate> updates) {
+      engines_[origin]->on_ack_batch(updates);
+    });
+    for (size_t i = base; i < drained; ++i) {
+      const AckUpdate& u = ack_scratch_.update(i);
+      if (u.node == options_.self)
+        mark_dirty(ack_scratch_.origin(i), u.type, u.seq, {});
+    }
+    ack_scratch_.release(base);
 
     // Then the frame rings: each event runs the ordinary locked dispatch
     // (the mutex is recursive, so on_frame's lock_guard is free here).
@@ -678,13 +684,13 @@ void Stabilizer::handle_data(NodeId src, const data::DataView& frame,
   // primary, not the origin node — crediting the dead origin would wedge
   // MIN-over-all predicates forever.
   const NodeId authority = stream_primary_[frame.origin];
-  std::vector<AckUpdate> updates;
-  updates.reserve(types_.count() + 1);
+  const size_t base = ack_scratch_.mark();
   for (StabilityTypeId t = 0; t < types_.count(); ++t)
-    updates.push_back(AckUpdate{t, authority, frame.seq, {}});
-  updates.push_back(AckUpdate{StabilityTypeRegistry::kReceived, options_.self,
+    ack_scratch_.push(frame.origin, AckUpdate{t, authority, frame.seq, {}});
+  ack_scratch_.push(frame.origin,
+                    AckUpdate{StabilityTypeRegistry::kReceived, options_.self,
                               frame.seq, {}});
-  engine.on_ack_batch(updates);
+  apply_staged(base);
   mark_dirty(frame.origin, StabilityTypeRegistry::kReceived, frame.seq, {});
 
   if (delivery_)
@@ -704,21 +710,18 @@ void Stabilizer::handle_ack_batch(const data::AckBatchFrame& frame) {
   // predicate evaluates once per frame instead of once per entry. The
   // AckUpdates view the frame's extra bytes — valid for the duration of
   // on_ack_batch, which routes each extra to the entries it affects.
-  // Buckets are local because monitors fired by the batch may re-enter
-  // (send -> apply_origin_rule_for_send runs a nested batch).
-  std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
-  uint64_t applied = 0;
+  // Monitors fired by the batch may re-enter (send -> apply_origin_rule
+  // stages a nested batch above this one).
+  const size_t base = ack_scratch_.mark();
   for (const data::AckEntry& e : frame.entries) {
     if (e.about_origin >= engines_.size()) continue;
-    per_origin[e.about_origin].push_back(
-        AckUpdate{e.type, frame.reporter, e.seq, BytesView(e.extra)});
-    ++applied;
+    ack_scratch_.push(e.about_origin, AckUpdate{e.type, frame.reporter, e.seq,
+                                                BytesView(e.extra)});
   }
+  const size_t applied = ack_scratch_.mark() - base;
   STAB_OBS(if (applied) ctr_.ack_entries_applied.inc(applied));
   (void)applied;
-  for (NodeId origin = 0; origin < per_origin.size(); ++origin)
-    if (!per_origin[origin].empty())
-      engines_[origin]->on_ack_batch(per_origin[origin]);
+  apply_staged(base);
   if (options_.send_window > 0) pump_windows();  // acks free window space
   maybe_reclaim();
 }
@@ -732,8 +735,7 @@ void Stabilizer::handle_report_batch(NodeId src,
   // control exactly like a zombie's own ACKBATCH would.
   const bool absorbing = deferred_ && agg_self_ && src != options_.self &&
                          src < same_az_.size() && same_az_[src];
-  std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
-  uint64_t applied = 0;
+  const size_t base = ack_scratch_.mark();
   bool absorbed_any = false;
   for (const data::ReportBlock& b : frame.blocks) {
     // Our own vector echoed back (an aggregator broadcasts merged state to
@@ -745,9 +747,8 @@ void Stabilizer::handle_report_batch(NodeId src,
     }
     for (const data::ReportEntry& e : b.entries) {
       if (e.about_origin >= engines_.size()) continue;
-      per_origin[e.about_origin].push_back(
-          AckUpdate{e.type, b.reporter, e.seq, {}});
-      ++applied;
+      ack_scratch_.push(e.about_origin,
+                        AckUpdate{e.type, b.reporter, e.seq, {}});
     }
     // Aggregator merge: blocks arriving from our own AZ's members fold into
     // the accumulator for the next long-haul flush. Blocks from outside the
@@ -759,11 +760,10 @@ void Stabilizer::handle_report_batch(NodeId src,
       STAB_OBS(ctr_.agg_blocks_absorbed.inc());
     }
   }
+  const size_t applied = ack_scratch_.mark() - base;
   STAB_OBS(if (applied) ctr_.report_entries_applied.inc(applied));
   (void)applied;
-  for (NodeId origin = 0; origin < per_origin.size(); ++origin)
-    if (!per_origin[origin].empty())
-      engines_[origin]->on_ack_batch(per_origin[origin]);
+  apply_staged(base);
   if (absorbed_any) schedule_deferred_timer();
   if (options_.send_window > 0) pump_windows();  // reports free window space
   maybe_reclaim();
@@ -1377,7 +1377,7 @@ Status Stabilizer::register_predicate(const std::string& key,
   // New types may have been auto-registered; backfill the origin rule for
   // everything already sent on the local stream.
   if (sequencer_.last_assigned() >= 0)
-    apply_origin_rule_for_send(sequencer_.last_assigned());
+    apply_origin_rule(options_.self, sequencer_.last_assigned());
   return Status::ok();
 }
 
@@ -1389,7 +1389,7 @@ Status Stabilizer::change_predicate(const std::string& key,
     if (!st.is_ok()) return st;
   }
   if (sequencer_.last_assigned() >= 0)
-    apply_origin_rule_for_send(sequencer_.last_assigned());
+    apply_origin_rule(options_.self, sequencer_.last_assigned());
   return Status::ok();
 }
 
@@ -1652,11 +1652,7 @@ SeqNum Stabilizer::send_as(NodeId origin, BytesView payload,
   // Origin rule, failover flavor: the sequencing authority (us) has every
   // property for the messages it sequenced — credited on our cell of the
   // adopted stream's engine. Peers credit us symmetrically in handle_data.
-  std::vector<AckUpdate> updates;
-  updates.reserve(types_.count());
-  for (StabilityTypeId t = 0; t < types_.count(); ++t)
-    updates.push_back(AckUpdate{t, options_.self, seq, {}});
-  engines_[origin]->on_ack_batch(updates);
+  apply_origin_rule(origin, seq);
   reclaim_adopted(origin, a);  // single-peer topologies reclaim immediately
   return seq;
 }

@@ -52,6 +52,7 @@
 #include "config/topology.hpp"
 #include "control/deferred_reporter.hpp"
 #include "control/frontier_engine.hpp"
+#include "core/ack_scratch.hpp"
 #include "core/pipeline.hpp"
 #include "data/out_buffer.hpp"
 #include "data/receive_tracker.hpp"
@@ -539,7 +540,11 @@ class Stabilizer {
   void retransmit_check();
   void schedule_stall_timer();
   void stall_check();
-  void apply_origin_rule_for_send(SeqNum seq);
+  /// Credits this node, as `origin`'s sequencing authority, with every
+  /// stability type at `seq`.
+  void apply_origin_rule(NodeId origin, SeqNum seq);
+  /// Applies and pops the ack_scratch_ frame that started at `base`.
+  void apply_staged(size_t base);
   void maybe_reclaim();
   void transmit(NodeId dst, const data::OutBuffer::Slot& slot);
   /// Transmits slots [first, first + count) to `dst` as one DATABATCH frame.
@@ -602,6 +607,7 @@ class Stabilizer {
   Transport& transport_;
   StabilityTypeRegistry types_;
   std::vector<std::unique_ptr<FrontierEngine>> engines_;  // per origin
+  AckScratch ack_scratch_;  // staged on_ack_batch input, used as a stack
   data::Sequencer sequencer_;
   data::OutBuffer out_;
   data::ReceiveTracker rx_;

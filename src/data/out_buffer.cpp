@@ -11,7 +11,7 @@ void OutBuffer::push(SeqNum seq, Bytes payload, uint64_t virtual_size) {
                            std::to_string(seq) + ", expected " +
                            std::to_string(expected) + ")");
   buffered_bytes_ += payload.size() + virtual_size;
-  slots_.push_back(Slot{seq, std::move(payload), virtual_size});
+  slots_.push_back(Slot{seq, std::move(payload), virtual_size, {}});
 }
 
 const OutBuffer::Slot* OutBuffer::get(SeqNum seq) const {

@@ -46,7 +46,10 @@ class Predicate {
   /// interpreter/bytecode modes always re-evaluate, keeping the ablation
   /// comparison honest. See Program::update_cannot_raise for the proof.
   bool eval_skippable(int64_t old_value, int64_t new_value,
-                      int64_t frontier) const;
+                      int64_t frontier) const {
+    return mode_ == EvalMode::kSpecialized &&
+           program_.update_cannot_raise(old_value, new_value, frontier);
+  }
 
   const std::string& source() const { return source_; }
   EvalMode mode() const { return mode_; }

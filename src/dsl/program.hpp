@@ -57,19 +57,27 @@ class Program {
   /// skip eval() entirely.
   ///
   /// Soundness: every DSL program is a lattice polynomial of the ack cells
-  /// (a MIN/MAX/KTH_* composition), so as a function of any single cell v it
-  /// has the form g(v) = max(a, min(v, b)) for constants a <= b determined
-  /// by the other cells. Two lossless rules follow:
-  ///   * bound rule (any specialized shape): if new_value <= frontier, then
-  ///     g(old) = frontier and monotonicity give g(new) == frontier;
-  ///   * binding rule (MIN / KTH_MIN over a single gather): a cell with
-  ///     old_value > frontier sits strictly above the k-th smallest and
-  ///     stays there when raised, so the order statistic is unchanged.
-  /// Non-specialized shapes conservatively answer false (the bound rule
-  /// would still be sound, but only specialized programs cache the shape
-  /// information that makes the check O(1) and observable as a counter).
+  /// and folded constants (a MIN/MAX/KTH_* composition; KTH_* is a MAX of
+  /// MINs over k-subsets, and k is constant). Over a chain, any
+  /// one-variable lattice polynomial is a clamp: as a function of one cell
+  /// v, with every other cell fixed, g(v) = max(a, min(v, b)) for constants
+  /// a <= b, however often v occurs. Let frontier = g(old) and new > old.
+  ///   * bound rule: if new <= frontier, then either frontier = a and
+  ///     min(new, b) <= a, or frontier = min(old, b) >= new >= old, so
+  ///     new == old. Either way g(new) == frontier.
+  ///   * binding rule: if old > frontier, then min(old, b) <= g(old) < old
+  ///     gives b < old, so g(old) = max(a, b) = b; and new > old > b gives
+  ///     g(new) = b as well.
+  /// Both rules therefore hold for every shape — single-gather MIN/MAX/KTH_*,
+  /// OP-of-reduced with overlapping lists, k out of range (a constant) —
+  /// so the check is two comparisons. Programs without a specialized shape
+  /// run the bytecode VM and answer false, like the interpreter and
+  /// bytecode modes, which never skip (Predicate::eval_skippable).
   bool update_cannot_raise(int64_t old_value, int64_t new_value,
-                           int64_t frontier) const;
+                           int64_t frontier) const {
+    return fast_.kind != FastKind::kNone &&
+           (new_value <= frontier || old_value > frontier);
+  }
 
   const std::vector<Instr>& instructions() const { return code_; }
   const std::vector<std::vector<NodeId>>& node_lists() const { return lists_; }

@@ -154,7 +154,7 @@ TEST(BackupService, StabilityOrderingAcrossPredicates) {
   ASSERT_TRUE(result.is_ok());
 
   std::map<std::string, TimePoint> stable_at;
-  for (const std::string& pred :
+  for (const char* pred :
        {"OneWNode", "OneRegion", "MajorityRegions", "MajorityWNodes",
         "AllRegions", "AllWNodes"}) {
     ASSERT_TRUE(f.svc(0).wait_stable(result.value(), pred, [&, pred](SeqNum) {
@@ -163,7 +163,7 @@ TEST(BackupService, StabilityOrderingAcrossPredicates) {
   }
   f.sim.run();
   ASSERT_EQ(stable_at.size(), 6u);
-  for (const std::string& pred :
+  for (const char* pred :
        {"OneWNode", "OneRegion", "MajorityRegions", "MajorityWNodes",
         "AllRegions", "AllWNodes"})
     EXPECT_TRUE(f.svc(0).is_stable(result.value(), pred)) << pred;

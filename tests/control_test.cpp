@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -413,6 +416,280 @@ TEST_F(FrontierTest, BatchCoalescedExtraIsLastAdvancing) {
   EXPECT_EQ(fired[0], (std::pair<SeqNum, std::string>{9, "two"}));
 }
 
+TEST_F(FrontierTest, MonitorChangingPredicateDuringDispatchIsSafe) {
+  // Regression: the single-report dispatch held a reference to the cell's
+  // index bucket across monitor callbacks. A monitor that re-targets its own
+  // predicate empties that bucket mid-loop (the old hash index then freed
+  // it), so the next bounds check read freed memory under ASan.
+  ASSERT_TRUE(engine_.register_predicate("p", "MAX($ALLWNODES.verified)"));
+  StabilityTypeId verified = *types_.find("verified");
+  std::vector<SeqNum> fired;
+  ASSERT_TRUE(engine_.monitor("p", [&](SeqNum f, BytesView) {
+    fired.push_back(f);
+    if (fired.size() == 1) {
+      ASSERT_TRUE(engine_.change_predicate("p", "MAX($ALLWNODES)"));
+    }
+  }));
+  EXPECT_TRUE(engine_.on_ack(verified, 1, 5));
+  // 5 fired, then the swap recomputed over plain receipts (none yet).
+  EXPECT_EQ(fired, (std::vector<SeqNum>{5, kNoSeq}));
+  EXPECT_EQ(engine_.frontier("p"), kNoSeq);
+  // The index followed the swap: .verified no longer dispatches to p.
+  const uint64_t evals0 = engine_.predicate_evals();
+  EXPECT_TRUE(engine_.on_ack(verified, 2, 9));
+  EXPECT_EQ(engine_.predicate_evals(), evals0);
+  EXPECT_TRUE(engine_.on_ack(0, 2, 3));
+  EXPECT_EQ(engine_.frontier("p"), 3);
+}
+
+TEST_F(FrontierTest, BatchApplySurvivesCallbacksThatGrowTheIndex) {
+  // A monitor that registers predicates over new stability types grows the
+  // dense index (reallocating it) while a batch is mid-dispatch; a nested
+  // batch from the same callback reuses the work list above the outer one.
+  ASSERT_TRUE(engine_.register_predicate("a", "MIN($ALLWNODES-$MYWNODE)"));
+  ASSERT_TRUE(engine_.register_predicate("b", "MAX($ALLWNODES-$MYWNODE)"));
+  int grown = 0;
+  ASSERT_TRUE(engine_.monitor("a", [&](SeqNum, BytesView) {
+    if (grown++ > 0) return;
+    for (int i = 0; i < 4; ++i)
+      ASSERT_TRUE(engine_.register_predicate(
+          "t" + std::to_string(i),
+          "MAX($ALLWNODES.level" + std::to_string(i) + ")"));
+    std::vector<AckUpdate> nested;
+    for (NodeId n = 1; n < 8; ++n) nested.push_back(AckUpdate{0, n, 9, {}});
+    engine_.on_ack_batch(nested);
+  }));
+  std::vector<AckUpdate> batch;
+  for (NodeId n = 1; n < 8; ++n) batch.push_back(AckUpdate{0, n, 4, {}});
+  EXPECT_EQ(engine_.on_ack_batch(batch), 7u);
+  EXPECT_EQ(engine_.frontier("a"), 9);
+  EXPECT_EQ(engine_.frontier("b"), 9);
+  EXPECT_EQ(engine_.on_ack(*types_.find("level3"), 4, 2), true);
+  EXPECT_EQ(engine_.frontier("t3"), 2);
+}
+
+// --- differential test for the general binding-cell skip ---------------------
+
+/// Random predicate over one of the specialized shapes: OP / KTH over one
+/// gather, or OP / KTH over single-gather MAX/MIN reductions (lists may
+/// overlap). Lists include set differences; k may fall out of range.
+std::string random_specialized_predicate(Rng& rng) {
+  static const char* kSets[] = {
+      "$ALLWNODES",          "$ALLWNODES-$MYWNODE", "$ALLWNODES-$MYAZWNODES",
+      "$AZ_North_Virginia",  "$AZ_Oregon",          "$AZ_Ohio",
+      "$AZ_North_California", "$MYAZWNODES",
+  };
+  static const char* kOps[] = {"MAX", "MIN", "KTH_MAX", "KTH_MIN"};
+  auto gather = [&] {
+    std::string g = "(" + std::string(kSets[rng.next_below(std::size(kSets))]) +
+                    ")";
+    return rng.next_bool(0.3) ? g + ".persisted" : g;
+  };
+  const std::string op = kOps[rng.next_below(std::size(kOps))];
+  const bool kth = op.rfind("KTH", 0) == 0;
+  std::vector<std::string> args;
+  if (rng.next_bool()) {
+    args.push_back(gather());
+  } else {
+    const size_t m = 2 + rng.next_below(3);
+    for (size_t i = 0; i < m; ++i)
+      args.push_back((rng.next_bool() ? "MAX(" : "MIN(") + gather() + ")");
+  }
+  std::string src = op + "(";
+  // k in [0, 9]: 0 and anything above the value count are out of range.
+  if (kth) src += std::to_string(rng.next_below(10)) + ",";
+  for (size_t i = 0; i < args.size(); ++i)
+    src += (i ? "," : "") + args[i];
+  return src + ")";
+}
+
+struct DiffVariant {
+  std::string name;
+  std::unique_ptr<StabilityTypeRegistry> types;
+  std::unique_ptr<FrontierEngine> engine;
+  // (key, frontier, extra) per monitor fire, in firing order.
+  std::vector<std::tuple<std::string, SeqNum, std::string>> monitors;
+  // (batch, waiter id, frontier) per waiter fire, in firing order.
+  std::vector<std::tuple<int, int, SeqNum>> waiters;
+};
+
+TEST(FrontierProperty, GeneralBindingSkipIsLossless) {
+  // kSpecialized + kIndexed (binding skip on) against the legacy scan and
+  // the interpreter (no skip). On per-report streams every observable is
+  // identical: the frontier sequence, the monitor (frontier, extra)
+  // sequence and waiter firings. On coalesced batches the frontier after
+  // every batch and the set of waiters woken by each batch are identical;
+  // monitors fire once per batch with the frontier the legacy path reached
+  // last, carrying the extra of the highest-sequence report the skip rule
+  // routed (DESIGN.md §4c), checked against an independent model.
+  Topology topo = ec2_topology();
+  for (uint64_t seed : {101u, 202u, 303u, 404u}) {
+    Rng rng(seed);
+    std::vector<std::string> keys, sources;
+    for (int i = 0; i < 24; ++i) {
+      keys.push_back((i < 10 ? "p0" : "p") + std::to_string(i));
+      sources.push_back(random_specialized_predicate(rng));
+    }
+    std::vector<DiffVariant> vs;
+    auto add = [&](std::string name, dsl::EvalMode eval,
+                   FrontierEngine::DispatchMode dispatch) {
+      DiffVariant v;
+      v.name = std::move(name);
+      v.types = std::make_unique<StabilityTypeRegistry>();
+      v.engine = std::make_unique<FrontierEngine>(topo, 0, *v.types, eval);
+      v.engine->set_dispatch_mode(dispatch);
+      vs.push_back(std::move(v));
+    };
+    add("specialized+indexed", dsl::EvalMode::kSpecialized,
+        FrontierEngine::DispatchMode::kIndexed);
+    add("specialized+legacy", dsl::EvalMode::kSpecialized,
+        FrontierEngine::DispatchMode::kLegacyScan);
+    add("interpreter+indexed", dsl::EvalMode::kInterpreter,
+        FrontierEngine::DispatchMode::kIndexed);
+    add("interpreter+legacy", dsl::EvalMode::kInterpreter,
+        FrontierEngine::DispatchMode::kLegacyScan);
+    for (auto& v : vs) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(v.engine->register_predicate(keys[i], sources[i]))
+            << sources[i];
+        ASSERT_TRUE(v.engine->monitor(
+            keys[i], [&v, key = keys[i]](SeqNum f, BytesView x) {
+              v.monitors.emplace_back(key, f, to_string(x));
+            }));
+      }
+    }
+    FrontierEngine& subject = *vs[0].engine;
+    for (size_t i = 0; i < keys.size(); ++i)
+      ASSERT_TRUE(subject.predicate(keys[i])->specialized()) << sources[i];
+    const StabilityTypeId persisted = StabilityTypeRegistry::kPersisted;
+
+    std::vector<std::vector<int64_t>> cells(2, std::vector<int64_t>(8, kNoSeq));
+    int waiter_id = 0;
+    int step = 0;
+    for (; step < 600; ++step) {
+      const bool per_report = step < 300;
+      // Park a waiter somewhere just past the current frontier.
+      if (rng.next_bool(0.3)) {
+        const std::string& key = keys[rng.next_below(keys.size())];
+        const SeqNum seq = subject.frontier(key) + 1 +
+                           static_cast<SeqNum>(rng.next_below(4));
+        const int id = waiter_id++;
+        for (auto& v : vs)
+          ASSERT_TRUE(v.engine->waitfor(key, seq, [&v, &step, id](SeqNum f) {
+            v.waiters.emplace_back(step, id, f);
+          }));
+      }
+      // A random monotone batch with a distinct extra per report; repeats
+      // and stale reports included.
+      std::vector<Bytes> extras;
+      std::vector<AckUpdate> batch;
+      const size_t n = per_report ? 1 : 1 + rng.next_below(10);
+      for (size_t i = 0; i < n; ++i) {
+        const StabilityTypeId t = rng.next_bool(0.7) ? 0 : persisted;
+        const NodeId node = static_cast<NodeId>(rng.next_below(8));
+        const int64_t seq =
+            std::max<int64_t>(kNoSeq, cells[t == 0 ? 0 : 1][node] +
+                                          rng.next_range(-1, 3));
+        extras.push_back(to_bytes(std::to_string(step) + "." +
+                                  std::to_string(i)));
+        batch.push_back(AckUpdate{t, node, seq, {}});
+      }
+      for (size_t i = 0; i < n; ++i) batch[i].extra = BytesView(extras[i]);
+
+      // Model of the routed extra per key for the subject: among the
+      // batch's advancing reports on cells the predicate reads, those the
+      // skip rule keeps (old <= F < new against the pre-batch frontier F);
+      // the highest sequence wins, the first on ties.
+      std::map<std::string, std::pair<SeqNum, std::string>> routed;
+      {
+        std::vector<std::vector<int64_t>> model = cells;
+        for (const AckUpdate& u : batch) {
+          int64_t& cell = model[u.type == 0 ? 0 : 1][u.node];
+          const int64_t old = cell;
+          if (u.seq <= old) continue;
+          cell = u.seq;
+          for (const auto& key : keys) {
+            const dsl::Predicate& p = *subject.predicate(key);
+            if (!p.references_type(u.type) || !p.references_node(u.node))
+              continue;
+            const SeqNum f = subject.frontier(key);
+            if (u.seq <= f || old > f) continue;
+            auto it = routed.find(key);
+            if (it == routed.end() || u.seq > it->second.first)
+              routed[key] = {u.seq, to_string(u.extra)};
+          }
+        }
+      }
+
+      std::vector<size_t> mon0(vs.size()), wait0(vs.size());
+      for (size_t i = 0; i < vs.size(); ++i) {
+        mon0[i] = vs[i].monitors.size();
+        wait0[i] = vs[i].waiters.size();
+        vs[i].engine->on_ack_batch(batch);
+      }
+      for (const AckUpdate& u : batch) {
+        int64_t& cell = cells[u.type == 0 ? 0 : 1][u.node];
+        cell = std::max(cell, u.seq);
+      }
+
+      for (const auto& key : keys)
+        for (auto& v : vs)
+          ASSERT_EQ(v.engine->frontier(key), subject.frontier(key))
+              << v.name << " " << key << " step " << step << " seed "
+              << seed;
+      if (per_report) continue;
+
+      // Batched: compare the per-batch view.
+      auto batch_waiters = [&](size_t i) {
+        std::vector<int> ids;
+        for (size_t w = wait0[i]; w < vs[i].waiters.size(); ++w)
+          ids.push_back(std::get<1>(vs[i].waiters[w]));
+        std::sort(ids.begin(), ids.end());
+        return ids;
+      };
+      auto last_fire = [&](size_t i) {
+        std::map<std::string, SeqNum> last;
+        for (size_t m = mon0[i]; m < vs[i].monitors.size(); ++m)
+          last[std::get<0>(vs[i].monitors[m])] = std::get<1>(vs[i].monitors[m]);
+        return last;
+      };
+      for (size_t i = 1; i < vs.size(); ++i) {
+        ASSERT_EQ(batch_waiters(i), batch_waiters(0))
+            << vs[i].name << " step " << step << " seed " << seed;
+        ASSERT_EQ(last_fire(i), last_fire(0))
+            << vs[i].name << " step " << step << " seed " << seed;
+      }
+      for (size_t m = mon0[0]; m < vs[0].monitors.size(); ++m) {
+        const auto& [key, f, extra] = vs[0].monitors[m];
+        auto it = routed.find(key);
+        ASSERT_NE(it, routed.end()) << key << " step " << step;
+        EXPECT_EQ(extra, it->second.second) << key << " step " << step;
+      }
+    }
+    // The skip did real work: strictly fewer evals than the interpreter.
+    EXPECT_LT(subject.predicate_evals(), vs[2].engine->predicate_evals());
+    // Per-report streams: the full logs must match exactly (the batch
+    // phase's logs differ in firing granularity, so compare up to it).
+    for (size_t i = 1; i < vs.size(); ++i) {
+      auto prefix_m = [&](const DiffVariant& v) {
+        std::vector<std::tuple<std::string, SeqNum, std::string>> out;
+        for (const auto& e : v.monitors)
+          if (std::stoi(std::get<2>(e).empty() ? "0" : std::get<2>(e)) < 300)
+            out.push_back(e);
+        return out;
+      };
+      auto prefix_w = [&](const DiffVariant& v) {
+        std::vector<std::tuple<int, int, SeqNum>> out;
+        for (const auto& e : v.waiters)
+          if (std::get<0>(e) < 300) out.push_back(e);
+        return out;
+      };
+      EXPECT_EQ(prefix_m(vs[i]), prefix_m(vs[0])) << vs[i].name;
+      EXPECT_EQ(prefix_w(vs[i]), prefix_w(vs[0])) << vs[i].name;
+    }
+  }
+}
+
 // All three eval modes x both dispatch paths compute identical frontiers on
 // random monotone batch streams.
 TEST(FrontierProperty, EvalModesAndDispatchPathsAgree) {
@@ -504,7 +781,9 @@ TEST(FrontierProperty, IncrementalMatchesFromScratch) {
       for (const auto& key : keys) {
         SeqNum f = engine.frontier(key);
         auto it = last.find(key);
-        if (it != last.end()) ASSERT_GE(f, it->second) << key;
+        if (it != last.end()) {
+          ASSERT_GE(f, it->second) << key;
+        }
         last[key] = f;
         // from-scratch check via a fresh eval of the same predicate
         ASSERT_EQ(f, engine.predicate(key)->eval(engine.acks())) << key;

@@ -257,8 +257,11 @@ TEST(Core, MultipleConcurrentStreams) {
   f.sim.run();
   for (NodeId n = 0; n < 3; ++n) {
     EXPECT_EQ(f.node(n).get_stability_frontier("all"), 0) << n;
-    for (NodeId o = 0; o < 3; ++o)
-      if (o != n) EXPECT_EQ(f.node(n).delivered_through(o), 0);
+    for (NodeId o = 0; o < 3; ++o) {
+      if (o != n) {
+        EXPECT_EQ(f.node(n).delivered_through(o), 0);
+      }
+    }
   }
 }
 
@@ -767,6 +770,91 @@ TEST(CoreRealtime, BlockingWaitStatusDistinguishesOutcomes) {
   EXPECT_EQ(node0.waitfor_blocking_status(far, "all", seconds(30)),
             WaitStatus::kFenced);
   EXPECT_EQ(node0.send(to_bytes("z")), kFencedSeq);
+}
+
+// --- re-entrant control-plane apply (scratch stack) -------------------------
+
+/// A predicate over `n` fresh stability types: registering it makes every
+/// later send() stage one origin-rule update per type.
+std::string wide_predicate(size_t n) {
+  std::string src = "MAX(";
+  for (size_t i = 0; i < n; ++i)
+    src += (i ? ",$ALLWNODES.wide" : "$ALLWNODES.wide") + std::to_string(i);
+  return src + ")";
+}
+
+TEST(Core, ReentrantAckBatchKeepsRemainingOrigins) {
+  // An ACKBATCH about origins 0, 1 and 2 is applied one origin at a time.
+  // A monitor on origin 1 fires mid-frame and re-enters: it registers a
+  // predicate over 150 new types, then sends and reports, staging far more
+  // updates than the shared scratch stack has ever held — so it
+  // reallocates under the outer frame. Origin 2's group must still apply
+  // exactly (checked cell by cell), and ASan must stay quiet.
+  SimFixture f(tiny_topology(3));
+  Stabilizer& n1 = f.node(1);
+  ASSERT_TRUE(n1.register_predicate("any", "MAX($ALLWNODES-$MYWNODE)"));
+  int fires = 0;
+  SeqNum sent = kNoSeq;
+  ASSERT_TRUE(n1.monitor_stability_frontier(
+      "any",
+      [&](SeqNum, BytesView) {
+        if (fires++ > 0) return;
+        ASSERT_TRUE(n1.register_predicate("wide", wide_predicate(150)));
+        for (int i = 0; i < 3; ++i) sent = n1.send(to_bytes("nested"));
+        ASSERT_TRUE(n1.report_stability("wide7", 0, 3).is_ok());
+      },
+      /*origin=*/1));
+
+  data::AckBatchFrame frame;
+  frame.reporter = 2;
+  for (StabilityTypeId t = 0; t < 3; ++t)
+    frame.entries.push_back(data::AckEntry{0, t, 10 + t, {}});
+  frame.entries.push_back(
+      data::AckEntry{1, StabilityTypeRegistry::kReceived, 5, {}});
+  for (StabilityTypeId t = 0; t < 3; ++t)
+    frame.entries.push_back(data::AckEntry{2, t, 20 + t, {}});
+  f.cluster->transport(2).send(1, data::encode(frame));
+  f.sim.run();
+
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(sent, 2);
+  for (StabilityTypeId t = 0; t < 3; ++t) {
+    EXPECT_EQ(n1.engine(0).acks().get(t, 2), 10 + t) << t;
+    EXPECT_EQ(n1.engine(2).acks().get(t, 2), 20 + t) << t;
+  }
+  EXPECT_EQ(n1.get_stability_frontier("any", 0), 10);
+  EXPECT_EQ(n1.get_stability_frontier("any", 2), 20);
+  // The nested sends' origin rule covered every type, the new ones too.
+  const StabilityTypeId wide149 = *n1.types().find("wide149");
+  EXPECT_EQ(n1.engine(1).acks().get(wide149, 1), 2);
+  EXPECT_EQ(n1.engine(0).acks().get(*n1.types().find("wide7"), 1), 3);
+}
+
+TEST(Core, ReentrantDataApplyKeepsOriginRule) {
+  // Same hazard on the receive path: handle_data stages the origin rule plus
+  // the local receipt for origin 0, and a monitor fired by that batch sends
+  // (staging 150+ updates per send) before the outer frame is released.
+  SimFixture f(tiny_topology(3));
+  Stabilizer& n1 = f.node(1);
+  ASSERT_TRUE(n1.register_predicate("mine", "MAX($MYWNODE)"));
+  int fires = 0;
+  ASSERT_TRUE(n1.monitor_stability_frontier(
+      "mine",
+      [&](SeqNum, BytesView) {
+        if (fires++ > 0) return;
+        ASSERT_TRUE(n1.register_predicate("wide", wide_predicate(150)));
+        for (int i = 0; i < 4; ++i) n1.send(to_bytes("echo"));
+      },
+      /*origin=*/0));
+  for (int i = 0; i < 3; ++i) f.node(0).send(to_bytes("m"));
+  f.sim.run();
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(n1.last_sent(), 3);
+  for (StabilityTypeId t = 0; t < 3; ++t)
+    EXPECT_EQ(n1.engine(0).acks().get(t, 0), 2) << t;  // origin rule
+  EXPECT_EQ(n1.engine(0).acks().get(StabilityTypeRegistry::kReceived, 1), 2);
+  EXPECT_EQ(n1.get_stability_frontier("mine", 0), 2);
+  EXPECT_EQ(f.node(2).delivered_through(1), 3);
 }
 
 }  // namespace

@@ -133,7 +133,9 @@ TEST(Paxos, CompetingProposersAgree) {
   // Whatever was learned must agree across nodes (safety).
   for (const auto& [i, v] : committed0) {
     auto it = committed1.find(i);
-    if (it != committed1.end()) EXPECT_EQ(it->second, v) << "instance " << i;
+    if (it != committed1.end()) {
+      EXPECT_EQ(it->second, v) << "instance " << i;
+    }
   }
 }
 
