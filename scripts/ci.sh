@@ -8,7 +8,8 @@
 # plus ASan, TSan, and UBSan passes over the fault-handling suites
 # (recovery_test + chaos_test + failover_test — the crash-restart / RESUME
 # machinery and the primary-failover election/fencing path, with
-# pipeline-enabled campaigns). The TSan leg additionally runs core_mt_test
+# pipeline-enabled campaigns — plus net_test, the TCP transport's IO thread
+# and its hostile-frame cases). The TSan leg additionally runs core_mt_test
 # and failover-adjacent MT suites unconditionally.
 #
 # Usage: scripts/ci.sh [extra cmake args...]
@@ -195,19 +196,26 @@ echo "==> $SAN sanitizer: control_test + core_test + core_mt_test" \
 # Stabilizers mid-simulation (lifetime hazards), the TCP reconnect path
 # crosses the IO thread (ordering hazards), and the failover codecs +
 # epoch/cursor arithmetic exercise shifts, casts, and enum round-trips on
-# hostile inputs (UB hazards).
+# hostile inputs (UB hazards). net_test runs in all three: its hostile
+# frame prefixes (a body_len below the header, one near 2^32) are the
+# out-of-bounds reads and wrapped arithmetic that ASan and UBSan catch, and
+# under TSan it guards the shared-frame lifetime across the IO thread and
+# the wake-on-transition handoff (its concurrent-sender stress test).
 for FSAN in address thread undefined; do
   FSAN_DIR="$ROOT/build-$FSAN"
-  echo "==> $FSAN sanitizer: recovery_test + chaos_test + failover_test (build-$FSAN/)"
+  echo "==> $FSAN sanitizer: recovery_test + chaos_test + failover_test" \
+       "+ net_test (build-$FSAN/)"
   cmake -B "$FSAN_DIR" -S "$ROOT" -DSTAB_SANITIZE="$FSAN" "$@"
-  cmake --build "$FSAN_DIR" -j --target recovery_test chaos_test failover_test
+  cmake --build "$FSAN_DIR" -j \
+    --target recovery_test chaos_test failover_test net_test
   "$FSAN_DIR/tests/recovery_test"
   "$FSAN_DIR/tests/chaos_test"
   "$FSAN_DIR/tests/failover_test"
+  "$FSAN_DIR/tests/net_test"
   if [[ "$FSAN" == "thread" ]]; then
     # The refcounted fan-out hands one buffer to concurrent receiver threads
-    # (InProc) and to the TCP IO thread via scatter-gather; net_test under
-    # TSan guards the shared-frame lifetime and ordering. obs_test under
+    # (InProc) and to the TCP IO thread via scatter-gather; net_test (run
+    # above) guards the shared-frame lifetime and ordering. obs_test under
     # TSan guards the registry's relaxed-atomic counters and the tracer's
     # mutexed append (its multithreaded hammer tests). core_mt_test under
     # TSan guards the lock-free control-plane pipeline (SPSC rings, CAS-max
@@ -219,10 +227,8 @@ for FSAN in address thread undefined; do
     # (ShardedChaos.*: per-shard failover domains + per-shard pipelined-vs-
     # locked digest equality, DESIGN.md §9) already ran as part of
     # chaos_test just above.
-    echo "==> $FSAN sanitizer: net_test (shared fan-out) + obs_test" \
-         "+ core_mt_test (pipeline)"
-    cmake --build "$FSAN_DIR" -j --target net_test obs_test core_mt_test
-    "$FSAN_DIR/tests/net_test"
+    echo "==> $FSAN sanitizer: obs_test + core_mt_test (pipeline)"
+    cmake --build "$FSAN_DIR" -j --target obs_test core_mt_test
     "$FSAN_DIR/tests/obs_test"
     "$FSAN_DIR/tests/core_mt_test"
   fi

@@ -24,6 +24,15 @@ namespace {
 constexpr uint32_t kKindHello = 1;
 constexpr uint32_t kKindData = 2;
 
+// epoll_event::data.u32 holds a peer id or one of these tags. An accepted
+// socket awaiting its HELLO is tagged kUnidentifiedTag | fd.
+constexpr uint32_t kListenTag = 0xffffffff;
+constexpr uint32_t kWakeTag = 0xfffffffe;
+constexpr uint32_t kUnidentifiedTag = 0x80000000;
+
+// An accepted socket that has not sent its HELLO by then is closed.
+constexpr Duration kHelloTimeout = millis(100);
+
 void set_nonblocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -92,6 +101,7 @@ TcpTransport::TcpTransport(NodeId self, std::vector<TcpPeerAddr> peers,
     obs_reconnects_ = &reg.counter("net.tcp.reconnects");
     obs_disconnects_ = &reg.counter("net.tcp.disconnects");
     obs_pending_dropped_ = &reg.counter("net.tcp.pending_dropped_frames");
+    obs_send_blocked_ = &reg.counter("net.tcp.send_blocked");
     obs_pending_bytes_ = &reg.gauge("net.tcp.pending_bytes");
     obs_was_connected_.assign(peers_.size(), false);
   });
@@ -99,7 +109,7 @@ TcpTransport::TcpTransport(NodeId self, std::vector<TcpPeerAddr> peers,
   wake_fd_ = eventfd(0, EFD_NONBLOCK);
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.u32 = 0xfffffffe;  // wake fd marker
+  ev.data.u32 = kWakeTag;
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   start_listen();
   io_thread_ = std::thread([this] { io_loop(); });
@@ -127,6 +137,8 @@ void TcpTransport::shutdown() {
         if (b > 0) obs_pending_bytes_->add(-static_cast<int64_t>(b));
     });
   }
+  for (const Unidentified& u : unidentified_) close(u.fd);
+  unidentified_.clear();
   if (listen_fd_ >= 0) close(listen_fd_);
   if (wake_fd_ >= 0) close(wake_fd_);
   if (epoll_fd_ >= 0) close(epoll_fd_);
@@ -155,11 +167,19 @@ void TcpTransport::send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
   enqueue_or_pend(dst, std::move(out));
 }
 
+// No lost wake-up: a connected peer's outq is tested and pushed under
+// mutex_, and the IO thread drains it under mutex_ until it is empty or
+// sendmsg returns EAGAIN, which arms EPOLLOUT. So a non-empty outq always
+// has either a wake in flight (written when it went non-empty, and read by
+// handle_wake before it scans the queues) or EPOLLOUT armed; a frame that
+// lands behind it goes out with the same drain.
 void TcpTransport::enqueue_or_pend(NodeId dst, OutFrame frame) {
+  bool wake = true;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     Conn& c = conns_[dst];
     if (c.fd >= 0 && !c.connecting) {
+      wake = c.outq.empty();
       c.outq.push_back(std::move(frame));
     } else {
       pending_bytes_[dst] += frame.size();
@@ -168,6 +188,7 @@ void TcpTransport::enqueue_or_pend(NodeId dst, OutFrame frame) {
       enforce_pending_bound_locked(dst);
     }
   }
+  if (!wake) return;
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof one);
 }
@@ -221,7 +242,7 @@ void TcpTransport::start_listen() {
   set_nonblocking(listen_fd_);
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.u32 = 0xffffffff;  // listen fd marker
+  ev.data.u32 = kListenTag;
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
 }
 
@@ -243,8 +264,9 @@ void TcpTransport::try_dial(NodeId peer) {
   c.fd = fd;
   c.connecting = (rc != 0);
   c.hello_sent = false;
+  c.events = EPOLLIN | EPOLLOUT;
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;
+  ev.events = c.events;
   ev.data.u32 = peer;
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
 }
@@ -325,79 +347,103 @@ void TcpTransport::obs_on_connected_locked(NodeId peer) {
 }
 #endif
 
+// Called after a write attempt, so a non-empty outq means sendmsg returned
+// EAGAIN. epoll_ctl runs only when the mask changes.
 void TcpTransport::rearm_epoll(NodeId peer) {
   Conn& c = conns_[peer];
   if (c.fd < 0) return;
+  uint32_t events = EPOLLIN;
+  if (!c.outq.empty() || c.connecting) events |= EPOLLOUT;
+  if (events == c.events) return;
+  c.events = events;
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (!c.outq.empty() || c.connecting) ev.events |= EPOLLOUT;
+  ev.events = events;
   ev.data.u32 = peer;
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
 
 void TcpTransport::handle_accept() {
   for (;;) {
-    sockaddr_in sa{};
-    socklen_t len = sizeof sa;
-    int fd = accept(listen_fd_, reinterpret_cast<sockaddr*>(&sa), &len);
+    int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;
-    set_nonblocking(fd);
     set_nodelay(fd);
-    // We don't know which peer this is until its HELLO arrives; park it on a
-    // temporary id. Read the HELLO synchronously-ish: register under a
-    // sentinel by scanning for a free "unknown" slot — to keep the code
-    // simple we do a short blocking read loop for the 12-byte HELLO.
-    uint8_t buf[12];
-    size_t got = 0;
-    for (int spin = 0; spin < 2000 && got < sizeof buf; ++spin) {
-      ssize_t n = recv(fd, buf + got, sizeof buf - got, 0);
-      if (n > 0) {
-        got += static_cast<size_t>(n);
-      } else if (n == 0) {
-        break;
-      } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        break;
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-    if (got < sizeof buf) {
-      close(fd);
-      continue;
-    }
-    Reader r(BytesView(buf, sizeof buf));
-    uint32_t body_len = r.u32();
-    uint32_t kind = r.u32();
-    NodeId src = r.u32();
-    if (body_len != 8 || kind != kKindHello || src >= peers_.size() ||
-        src == self_) {
-      close(fd);
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    Conn& c = conns_[src];
-    if (c.fd >= 0) {
-      // Simultaneous connect race: deterministic winner — keep the
-      // connection dialed by the smaller node id. We are the acceptor, so
-      // the dialer is `src`; keep this one iff src < self_.
-      if (src < self_) {
-        close_conn(src, "replaced by accepted conn");
-      } else {
-        close(fd);
-        continue;
-      }
-    }
-    c.fd = fd;
-    c.connecting = false;
-    c.hello_sent = true;  // acceptor doesn't dial, no hello needed from us
-    backoff_[src] = Duration::zero();  // live connection resets the backoff
-    STAB_OBS(obs_on_connected_locked(src));
+    // The peer is unknown until its HELLO arrives. handle_hello reads it
+    // when the socket turns readable, so a connector that sends nothing
+    // holds up no other traffic.
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.u32 = src;
+    ev.data.u32 = kUnidentifiedTag | static_cast<uint32_t>(fd);
     epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    flush_pending_locked(src);
-    rearm_epoll(src);
+    Unidentified u;
+    u.fd = fd;
+    u.deadline = env_.now() + kHelloTimeout;
+    unidentified_.push_back(u);
+  }
+}
+
+void TcpTransport::handle_hello(int fd) {
+  auto it = std::find_if(unidentified_.begin(), unidentified_.end(),
+                         [fd](const Unidentified& u) { return u.fd == fd; });
+  if (it == unidentified_.end()) return;
+  // Read no further than the HELLO: the frames behind it are parsed by
+  // handle_readable once the socket is registered under its peer id.
+  ssize_t n = recv(fd, it->hello + it->got, sizeof it->hello - it->got, 0);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  if (n > 0) it->got += static_cast<size_t>(n);
+  if (n > 0 && it->got < sizeof it->hello) return;
+  const Unidentified u = *it;
+  *it = unidentified_.back();
+  unidentified_.pop_back();
+  if (u.got < sizeof u.hello) {  // closed or failed before a full HELLO
+    close(fd);
+    return;
+  }
+  Reader r(BytesView(u.hello, sizeof u.hello));
+  uint32_t body_len = r.u32();
+  uint32_t kind = r.u32();
+  NodeId src = r.u32();
+  if (body_len != 8 || kind != kKindHello || src >= peers_.size() ||
+      src == self_) {
+    close(fd);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  Conn& c = conns_[src];
+  if (c.fd >= 0) {
+    // Simultaneous connect race: deterministic winner — keep the
+    // connection dialed by the smaller node id. We are the acceptor, so
+    // the dialer is `src`; keep this one iff src < self_.
+    if (src < self_) {
+      close_conn(src, "replaced by accepted conn");
+    } else {
+      close(fd);
+      return;
+    }
+  }
+  c.fd = fd;
+  c.connecting = false;
+  c.hello_sent = true;  // acceptor doesn't dial, no hello needed from us
+  c.events = EPOLLIN;
+  backoff_[src] = Duration::zero();  // live connection resets the backoff
+  STAB_OBS(obs_on_connected_locked(src));
+  epoll_event ev{};
+  ev.events = c.events;
+  ev.data.u32 = src;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+  flush_pending_locked(src);
+  write_locked(src);
+}
+
+void TcpTransport::expire_unidentified() {
+  const TimePoint now = env_.now();
+  for (size_t i = 0; i < unidentified_.size();) {
+    if (unidentified_[i].deadline > now) {
+      ++i;
+      continue;
+    }
+    close(unidentified_[i].fd);
+    unidentified_[i] = unidentified_.back();
+    unidentified_.pop_back();
   }
 }
 
@@ -432,16 +478,25 @@ void TcpTransport::handle_readable(NodeId peer) {
   };
   std::vector<Parsed> ready;
   size_t pos = 0;
+  bool malformed = false;
   while (c.inbuf.size() - pos >= 4) {
     uint32_t body_len;
     std::memcpy(&body_len, c.inbuf.data() + pos, 4);
-    if (c.inbuf.size() - pos < 4 + body_len) break;
-    Reader r(BytesView(c.inbuf.data() + pos + 4, body_len));
+    // body_len covers kind, src and the payload, so it is at least 8; with
+    // that the header reads below cannot run short. The frame length is
+    // computed in size_t so a body_len near 2^32 cannot wrap.
+    if (body_len < 8) {
+      malformed = true;
+      break;
+    }
+    const size_t frame_len = 4 + static_cast<size_t>(body_len);
+    if (c.inbuf.size() - pos < frame_len) break;
+    Reader r(BytesView(c.inbuf.data() + pos + 4, 8));
     uint32_t kind = r.u32();
     NodeId src = r.u32();
-    Bytes payload(c.inbuf.begin() + pos + 12,
-                  c.inbuf.begin() + pos + 4 + body_len);
-    pos += 4 + body_len;
+    Bytes payload(c.inbuf.begin() + static_cast<ptrdiff_t>(pos + 12),
+                  c.inbuf.begin() + static_cast<ptrdiff_t>(pos + frame_len));
+    pos += frame_len;
     if (kind == kKindData && handler_) {
       if (direct) {
         ready.push_back(Parsed{src, std::move(payload)});
@@ -456,7 +511,12 @@ void TcpTransport::handle_readable(NodeId peer) {
                           });
     }
   }
-  c.inbuf.erase(c.inbuf.begin(), c.inbuf.begin() + pos);
+  if (malformed) {
+    close_conn(peer, "malformed frame");  // frames before it still go out
+  } else {
+    c.inbuf.erase(c.inbuf.begin(),
+                  c.inbuf.begin() + static_cast<ptrdiff_t>(pos));
+  }
   if (ready.empty()) return;
   auto handler = handler_;
   lock.unlock();
@@ -481,6 +541,28 @@ void TcpTransport::handle_writable(NodeId peer) {
     STAB_OBS(obs_on_connected_locked(peer));
     flush_pending_locked(peer);
   }
+  write_locked(peer);
+}
+
+void TcpTransport::handle_wake() {
+  // One read resets the eventfd (non-semaphore mode). It comes before the
+  // scan: a sender that fills an empty queue after it writes the eventfd
+  // again, so that frame is written by this scan or by the next wake.
+  uint64_t count = 0;
+  [[maybe_unused]] ssize_t r = read(wake_fd_, &count, sizeof count);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (NodeId p = 0; p < conns_.size(); ++p) {
+    const Conn& c = conns_[p];
+    // A queue with EPOLLOUT armed waits for socket space; its EPOLLOUT
+    // event drains it.
+    if (c.fd >= 0 && !c.connecting && !c.outq.empty() &&
+        !(c.events & EPOLLOUT))
+      write_locked(p);
+  }
+}
+
+void TcpTransport::write_locked(NodeId peer) {
+  Conn& c = conns_[peer];
   // Scatter-gather up to 16 queued frames (header + shared body each) per
   // writev so a coalesced broadcast flush costs one syscall, not one per
   // frame. out_offset tracks progress within outq.front() only.
@@ -526,6 +608,7 @@ void TcpTransport::handle_writable(NodeId peer) {
         }
       }
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      STAB_OBS(if (!(c.events & EPOLLOUT)) obs_send_blocked_->inc());
       break;
     } else {
       close_conn(peer, "send error");
@@ -545,20 +628,18 @@ void TcpTransport::io_loop() {
         Conn& c = conns_[p];
         if (c.fd < 0 && env_.now() >= c.retry_at) try_dial(p);
       }
-      // Make sure EPOLLOUT is armed where output is queued.
-      for (NodeId p = 0; p < peers_.size(); ++p)
-        if (p != self_) rearm_epoll(p);
     }
+    if (!unidentified_.empty()) expire_unidentified();
     epoll_event events[32];
     int n = epoll_wait(epoll_fd_, events, 32, 50);
     for (int i = 0; i < n; ++i) {
       uint32_t tag = events[i].data.u32;
-      if (tag == 0xffffffff) {
+      if (tag == kListenTag) {
         handle_accept();
-      } else if (tag == 0xfffffffe) {
-        uint64_t drain;
-        while (read(wake_fd_, &drain, sizeof drain) > 0) {
-        }
+      } else if (tag == kWakeTag) {
+        handle_wake();
+      } else if (tag & kUnidentifiedTag) {
+        handle_hello(static_cast<int>(tag & ~kUnidentifiedTag));
       } else {
         NodeId peer = tag;
         if (events[i].events & (EPOLLHUP | EPOLLERR)) {

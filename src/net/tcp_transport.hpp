@@ -3,6 +3,13 @@
 // are handed to the node's RealtimeEnv thread so application callbacks keep
 // the single-threaded Stabilizer discipline.
 //
+// Only the IO thread writes to a socket. send()/send_shared() append to the
+// peer's outq under mutex_ and write the eventfd only when that queue goes
+// from empty to non-empty; the IO thread answers the wake by writing every
+// non-empty queue. EPOLLOUT is registered only while a connect is in
+// progress or after sendmsg returned EAGAIN (DESIGN.md, "TCP transport
+// threads").
+//
 // Connection policy: the node with the smaller id dials; the larger id
 // accepts. Every connection starts with a HELLO frame carrying the dialer's
 // node id. Frames queued while a peer is down are buffered (up to a
@@ -107,10 +114,20 @@ class TcpTransport final : public Transport {
     int fd = -1;
     bool connecting = false;   // non-blocking connect in progress
     bool hello_sent = false;
+    uint32_t events = 0;       // epoll mask registered for fd
     Bytes inbuf;
     std::deque<OutFrame> outq;
     size_t out_offset = 0;     // bytes of outq.front() already written
     TimePoint retry_at = kTimeZero;
+  };
+
+  /// An accepted socket whose 12-byte HELLO has not fully arrived yet.
+  /// Owned by the IO thread; closed once `deadline` passes.
+  struct Unidentified {
+    int fd = -1;
+    TimePoint deadline;
+    uint8_t hello[12] = {};
+    size_t got = 0;
   };
 
   void io_loop();
@@ -119,7 +136,11 @@ class TcpTransport final : public Transport {
   void close_conn(NodeId peer, const char* why);
   void handle_readable(NodeId peer);
   void handle_writable(NodeId peer);
+  void handle_wake();
   void handle_accept();
+  void handle_hello(int fd);
+  void expire_unidentified();
+  void write_locked(NodeId peer);
   void flush_pending_locked(NodeId peer);
   void enqueue_or_pend(NodeId dst, OutFrame frame);
   void enforce_pending_bound_locked(NodeId peer);
@@ -146,6 +167,7 @@ class TcpTransport final : public Transport {
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
   int wake_fd_ = -1;  // eventfd to kick the IO thread
+  std::vector<Unidentified> unidentified_;  // IO thread only
   std::atomic<bool> stop_{false};
   std::thread io_thread_;
 
@@ -160,6 +182,7 @@ class TcpTransport final : public Transport {
   obs::Counter* obs_reconnects_ = nullptr;
   obs::Counter* obs_disconnects_ = nullptr;
   obs::Counter* obs_pending_dropped_ = nullptr;
+  obs::Counter* obs_send_blocked_ = nullptr;
   obs::Gauge* obs_pending_bytes_ = nullptr;  // summed over peers (delta-kept)
   std::vector<bool> obs_was_connected_;
   void obs_on_connected_locked(NodeId peer);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -409,6 +410,236 @@ TEST(Tcp, SendSharedScatterGathersPrefixAndBody) {
   EXPECT_EQ(got[0], "shared body");
   EXPECT_EQ(got[1], "copied");
   EXPECT_EQ(got[2], "shared body");
+}
+
+// A raw client socket, connected (blocking) to a transport's listen port.
+int raw_connect(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval tv{5, 0};  // bounds every blocking recv below
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  return fd;
+}
+
+// Blocks until the transport closes `fd` (recv sees EOF); false on timeout.
+bool wait_eof(int fd) {
+  uint8_t byte;
+  return ::recv(fd, &byte, 1, 0) == 0;
+}
+
+// A client that introduces itself as node 0 with a valid HELLO, then sends
+// a DATA prefix declaring `body_len`, must not take node 1 down. Its HELLO
+// replaces node 0's connection; once node 1 is done with the hostile frame
+// the raw socket is closed (at once when the prefix is malformed, when node
+// 0 redials otherwise), and node 0's later frames still arrive.
+void expect_survives_hostile_prefix(uint16_t base_port, uint32_t body_len) {
+  auto addrs = loopback_addrs(2, base_port);
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+  std::atomic<int> got{0};
+  b.set_receive_handler([&](NodeId src, BytesView frame, uint64_t) {
+    if (src == 0 && to_string(frame) == "after") ++got;
+  });
+
+  int fd = raw_connect(addrs[1].port);
+  ASSERT_GE(fd, 0);
+  Writer w;
+  for (uint32_t v : {8u, 1u, 0u}) w.u32(v);             // HELLO from node 0
+  for (uint32_t v : {body_len, 2u, 0u, 0u}) w.u32(v);   // hostile DATA prefix
+  Bytes wire = std::move(w).take();
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  EXPECT_TRUE(wait_eof(fd));
+  ::close(fd);
+
+  for (int i = 0; i < 500 && got == 0; ++i) {
+    a.send(1, to_bytes("after"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(got.load(), 0);
+  EXPECT_TRUE(b.wait_connected(seconds(5)));
+}
+
+TEST(Tcp, FramePrefixShorterThanHeaderClosesOnlyThatConnection) {
+  expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 50),
+                                 4);
+}
+
+TEST(Tcp, FramePrefixNear4GiBDoesNotWrap) {
+  expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 52),
+                                 0xFFFFFFFCu);
+}
+
+TEST(Tcp, SilentConnectionDoesNotStallTraffic) {
+  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 54));
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+  std::atomic<bool> got{false};
+  b.set_receive_handler([&](NodeId, BytesView, uint64_t) { got = true; });
+
+  int fd = raw_connect(addrs[1].port);  // connects and never says HELLO
+  ASSERT_GE(fd, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // accepted
+  const auto t0 = std::chrono::steady_clock::now();
+  a.send(1, to_bytes("ping"));
+  while (!got && std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(got.load());
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+  // Node 1 gives up on the silent socket once the HELLO timeout passes.
+  EXPECT_TRUE(wait_eof(fd));
+  ::close(fd);
+}
+
+// Wake-on-transition: senders write the eventfd only when a queue goes
+// empty -> non-empty. A lost wake-up would leave a queue stuck for good, so
+// the deadline below catches one. Three threads plus node 0's Env thread
+// race on one peer's queue through both send paths.
+TEST(Tcp, ConcurrentSendersLoseNoWakeup) {
+  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 56));
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+
+  constexpr uint32_t kSenders = 4;
+  constexpr uint32_t kPerSender = 20000;
+  std::vector<uint32_t> next(kSenders, 0);  // touched by b's Env thread only
+  std::atomic<uint64_t> received{0};
+  std::atomic<uint64_t> out_of_order{0};
+  b.set_receive_handler([&](NodeId, BytesView frame, uint64_t) {
+    Reader r(frame);
+    uint32_t sender = r.u32();
+    uint32_t seq = r.u32();
+    if (sender >= kSenders || seq != next[sender]++) ++out_of_order;
+    ++received;
+  });
+
+  auto run = [&](uint32_t sender) {
+    for (uint32_t i = 0; i < kPerSender; ++i) {
+      Writer w(8);
+      w.u32(sender);
+      w.u32(i);
+      if (i % 2 == 0)
+        a.send(1, std::move(w).take());
+      else
+        a.send_shared(1, std::make_shared<const Bytes>(std::move(w).take()));
+    }
+  };
+  std::atomic<bool> env_done{false};
+  a.env().schedule_after(Duration::zero(), [&] {
+    run(kSenders - 1);
+    env_done = true;
+  });
+  std::vector<std::thread> threads;
+  for (uint32_t s = 0; s + 1 < kSenders; ++s) threads.emplace_back(run, s);
+  for (auto& t : threads) t.join();
+
+  const uint64_t total = uint64_t{kSenders} * kPerSender;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((!env_done || received < total) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(env_done.load());
+  EXPECT_EQ(received.load(), total);
+  EXPECT_EQ(out_of_order.load(), 0u);
+}
+
+// The receiver's IO thread blocks in a direct-dispatch handler, so the
+// sender's socket fills and sendmsg returns EAGAIN: the queue must then be
+// drained by EPOLLOUT, in order, and the plain wake path must work again
+// afterwards.
+TEST(Tcp, BackpressureDrainsInOrderAndRecovers) {
+  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 58));
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+
+  constexpr size_t kFrameBytes = 64 * 1024;
+  constexpr uint32_t kFrames = 256;  // 16 MiB behind the blocked reader
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocked{false};
+  std::mutex m;
+  std::vector<uint32_t> got;
+  uint64_t bad_frames = 0;  // guarded by m
+  b.set_direct_dispatch(true);
+  b.set_receive_handler([&](NodeId, BytesView frame, uint64_t) {
+    blocked = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Reader r(frame);
+    uint32_t seq = r.u32();
+    std::lock_guard<std::mutex> l(m);
+    if (seq >= 1 && seq <= kFrames &&
+        (frame.size() != kFrameBytes ||
+         frame.back() != static_cast<uint8_t>(seq)))
+      ++bad_frames;
+    got.push_back(seq);
+  });
+  // Declared after the transports, so it releases the handler before they
+  // shut down even when an assertion returns early.
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() { flag = true; }
+  } guard{release};
+
+  auto frame_for = [](uint32_t seq, size_t size) {
+    Writer w(size);
+    w.u32(seq);
+    Bytes bytes = std::move(w).take();
+    bytes.resize(size, static_cast<uint8_t>(seq));
+    return bytes;
+  };
+  a.send(1, frame_for(0, 4));
+  for (int i = 0; i < 5000 && !blocked; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(blocked.load());
+
+#if STAB_OBS_ENABLED
+  obs::Counter& send_blocked = obs::global().counter("net.tcp.send_blocked");
+  const uint64_t blocked_before = send_blocked.value();
+#endif
+  for (uint32_t seq = 1; seq <= kFrames; ++seq)
+    a.send_shared(1, std::make_shared<const Bytes>(frame_for(seq, kFrameBytes)));
+#if STAB_OBS_ENABLED
+  for (int i = 0; i < 5000 && send_blocked.value() == blocked_before; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GT(send_blocked.value(), blocked_before);  // EAGAIN armed EPOLLOUT
+#endif
+  release = true;
+
+  auto wait_for = [&](size_t n) {
+    for (int i = 0; i < 30000; ++i) {
+      {
+        std::lock_guard<std::mutex> l(m);
+        if (got.size() >= n) return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_for(kFrames + 1);
+  {
+    std::lock_guard<std::mutex> l(m);
+    ASSERT_EQ(got.size(), size_t{kFrames} + 1);
+    for (uint32_t i = 0; i <= kFrames; ++i) ASSERT_EQ(got[i], i);
+    EXPECT_EQ(bad_frames, 0u);
+  }
+
+  a.send(1, frame_for(kFrames + 1, 4));
+  wait_for(kFrames + 2);
+  std::lock_guard<std::mutex> l(m);
+  ASSERT_EQ(got.size(), size_t{kFrames} + 2);
+  EXPECT_EQ(got.back(), kFrames + 1);
 }
 
 #if STAB_OBS_ENABLED
