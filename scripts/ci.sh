@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 CI: plain build + full ctest, a -Werror optimized build, bench smokes (data-plane fan-out,
 # the control-plane dispatch + MT producer curve, and the sharded scale-out
-# throughput floor), a chaos property sweep
-# under fresh random seeds, then sanitizer passes: one configurable pass over
+# throughput floor), the perfbench self-test and one short correct run of
+# each perfbench workload, a chaos property sweep under fresh random seeds, then sanitizer passes: one configurable pass over
 # the control-plane/core suites (the indexed dispatch / batched ack hot path,
 # its re-entrant callback surface, and the lock-free pipeline's MT suite)
 # plus ASan, TSan, and UBSan passes over the fault-handling suites
 # (recovery_test + chaos_test + failover_test — the crash-restart / RESUME
 # machinery and the primary-failover election/fencing path, with
 # pipeline-enabled campaigns — plus net_test, the TCP transport's IO thread
-# and its hostile-frame cases). The TSan leg additionally runs core_mt_test
-# and failover-adjacent MT suites unconditionally.
+# and its hostile-frame cases; ASan and UBSan also run alloc_test). The TSan
+# leg additionally runs core_mt_test and failover-adjacent MT suites
+# unconditionally.
 #
 # Usage: scripts/ci.sh [extra cmake args...]
 # Env:   STAB_CI_SANITIZER=address|thread|undefined  (default: address)
@@ -67,6 +68,26 @@ echo "==> stability propagation bench (smoke: 16-node fleet, >=5x bytes floor)"
 # immediate/deferred/deferred+agg comparison on a 4x4 fleet and exits
 # nonzero below 5x bytes reduction or above the p99 frontier-lag bound.
 (cd "$ROOT/build" && bench/bench_stability_propagation --smoke)
+
+echo "==> perfbench: self-test + one short run of each workload"
+# The benchmark's own tests, then a 3 s run of each workload. Each run's
+# last line must report "correct": true and "failed": 0: on tcp_bulk that is
+# the real-socket oracle (per-origin FIFO, no duplicate, no gap, every
+# payload byte, every waitfor fired), on geo_sim the replay-digest check.
+(cd "$ROOT" && python3 perfbench/run.py --selftest)
+PB_SEED=$(( RANDOM + 1 ))
+for WL in geo_sim tcp_bulk; do
+  echo "    perfbench $WL --seed $PB_SEED --seconds 3"
+  PB_LAST="$(cd "$ROOT" && python3 perfbench/run.py --workload "$WL" \
+    --seed "$PB_SEED" --seconds 3 --trace 0 | tail -n1)"
+  if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+      "$PB_LAST"; then
+    echo "==> perfbench $WL run is not correct: $PB_LAST"
+    exit 1
+  fi
+done
 
 echo "==> metrics endpoint smoke (live TCP cluster + 2 scrapes mid-traffic)"
 # Stand up the 3-node loopback demo with a kernel-assigned port, scrape the
@@ -212,6 +233,14 @@ for FSAN in address thread undefined; do
   "$FSAN_DIR/tests/chaos_test"
   "$FSAN_DIR/tests/failover_test"
   "$FSAN_DIR/tests/net_test"
+  if [[ "$FSAN" != "thread" ]]; then
+    # The allocation guard's counting operator new composes with ASan and
+    # UBSan; its hot paths (the send buffer's chunk ring, DATABATCH entry
+    # reuse, the TCP inbox and buffer pools) run here under both.
+    echo "==> $FSAN sanitizer: alloc_test"
+    cmake --build "$FSAN_DIR" -j --target alloc_test
+    "$FSAN_DIR/tests/alloc_test"
+  fi
   if [[ "$FSAN" == "thread" ]]; then
     # The refcounted fan-out hands one buffer to concurrent receiver threads
     # (InProc) and to the TCP IO thread via scatter-gather; net_test (run

@@ -6,6 +6,20 @@
 
 namespace stab {
 
+namespace {
+/// Runs `decode`; false if it threw CodecError. Only the decode is guarded,
+/// so a CodecError from an application callback still reaches its caller.
+template <class Decode>
+bool decodes(Decode&& decode) {
+  try {
+    decode();
+    return true;
+  } catch (const CodecError&) {
+    return false;
+  }
+}
+}  // namespace
+
 #if STAB_OBS_ENABLED
 Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
     : messages_sent(r.counter("core.messages_sent")),
@@ -39,6 +53,7 @@ Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
       failover_seqs_skipped(r.counter("failover.seqs_skipped")),
       failover_seqs_rolled_back(r.counter("failover.seqs_rolled_back")),
       waiters_fenced(r.counter("failover.waiters_fenced")),
+      malformed_frames(r.counter("data.malformed_frames")),
       batch_frames(r.histogram("data.batch_frames")),
       ack_flush_entries(r.histogram("control.ack_flush_entries")),
       report_flush_entries(r.histogram("control.report_flush_entries")) {}
@@ -207,7 +222,7 @@ SeqNum Stabilizer::send(BytesView payload, uint64_t virtual_size) {
   // now owns it and would issue the same numbers with different content.
   if (self_fenced_) return kFencedSeq;
   SeqNum seq = sequencer_.next();
-  out_.push(seq, Bytes(payload.begin(), payload.end()), virtual_size);
+  out_.push(seq, payload, virtual_size);
   STAB_OBS(++ctr_.pending_messages_sent);
   STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
              options_.self, seq);
@@ -360,17 +375,16 @@ bool Stabilizer::coalescable(const data::OutBuffer::Slot& slot) const {
 
 void Stabilizer::transmit_batch(NodeId dst, SeqNum first, size_t count) {
   if (!(batch_first_ == first && batch_count_ == count && batch_frame_)) {
-    data::DataBatchFrame batch;
+    data::DataBatchFrame& batch = tx_batch_;  // entries keep their capacity
     batch.origin = options_.self;
     batch.primary_epoch = stream_epoch_[options_.self];
     batch.first_seq = first;
-    batch.entries.reserve(count);
+    batch.entries.clear();
     uint64_t virtual_total = 0;
     for (size_t i = 0; i < count; ++i) {
       const auto* slot = out_.get(first + static_cast<SeqNum>(i));
       batch.entries.push_back(
-          data::DataBatchFrame::Entry{BytesView(slot->payload),
-                                      slot->virtual_size});
+          data::DataBatchFrame::Entry{slot->payload, slot->virtual_size});
       virtual_total += slot->virtual_size;
     }
     batch_frame_ = std::make_shared<const Bytes>(data::encode(batch));
@@ -444,29 +458,63 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
     }
     return;
   }
+  // A body that does not decode is dropped and counted: it must not take
+  // the receiving process down.
   switch (*kind) {
     case data::FrameKind::kData: {
-      data::DataView v = data::decode_data_view(frame);
-      if (!admit_data(src, v.origin, v.primary_epoch)) break;
-      handle_data(src, v, wire_size);
+      data::DataView v;
+      if (!decodes([&] { v = data::decode_data_view(frame); })) {
+        drop_malformed(src);
+      } else if (admit_data(src, v.origin, v.primary_epoch)) {
+        handle_data(src, v, wire_size);
+      }
       break;
     }
     case data::FrameKind::kDataBatch: {
-      data::DataBatchFrame batch = data::decode_data_batch(frame);
-      if (!admit_data(src, batch.origin, batch.primary_epoch)) break;
-      handle_data_batch(src, batch);
+      // Decode into the entry storage this Stabilizer keeps. A re-entrant
+      // on_frame (from a delivery upcall) finds it moved out and grows its
+      // own.
+      data::DataBatchFrame batch;
+      batch.entries.swap(rx_entries_);
+      if (!decodes([&] { data::decode_data_batch(frame, batch); })) {
+        drop_malformed(src);
+      } else if (admit_data(src, batch.origin, batch.primary_epoch)) {
+        handle_data_batch(src, batch);
+      }
+      rx_entries_.swap(batch.entries);
       break;
     }
-    case data::FrameKind::kAckBatch:
-      handle_ack_batch(data::decode_ack_batch(frame));
+    case data::FrameKind::kAckBatch: {
+      data::AckBatchFrame ack;
+      if (!decodes([&] { ack = data::decode_ack_batch(frame); }))
+        drop_malformed(src);
+      else
+        handle_ack_batch(ack);
       break;
-    case data::FrameKind::kReportBatch:
-      handle_report_batch(src, data::decode_report_batch(frame));
+    }
+    case data::FrameKind::kReportBatch: {
+      data::ReportBatchFrame report;
+      if (!decodes([&] { report = data::decode_report_batch(frame); }))
+        drop_malformed(src);
+      else
+        handle_report_batch(src, report);
       break;
-    case data::FrameKind::kResume:
-      handle_resume(src, data::decode_resume(frame));
+    }
+    case data::FrameKind::kResume: {
+      data::ResumeFrame resume;
+      if (!decodes([&] { resume = data::decode_resume(frame); }))
+        drop_malformed(src);
+      else
+        handle_resume(src, resume);
       break;
+    }
   }
+}
+
+void Stabilizer::drop_malformed(NodeId src) const {
+  STAB_OBS(ctr_.malformed_frames.inc());
+  STAB_WARN("node " << options_.self << ": dropping malformed frame from "
+                    << src);
 }
 
 bool Stabilizer::admit_data(NodeId src, NodeId origin, PrimaryEpoch epoch) {
@@ -524,7 +572,11 @@ void Stabilizer::ingest_frame(NodeId src, BytesView frame,
     // into the atomic cells. Entries carrying extra bytes (which must reach
     // the matching eval) or out-of-grid coordinates route the whole frame
     // through the ring instead, preserving the frame's internal order.
-    data::AckBatchFrame ack = data::decode_ack_batch(frame);
+    data::AckBatchFrame ack;
+    if (!decodes([&] { ack = data::decode_ack_batch(frame); })) {
+      drop_malformed(src);  // counters are atomic; safe off the lock
+      return;
+    }
     bool plain = ack.reporter < options_.topology.num_nodes();
     if (plain) {
       for (const data::AckEntry& e : ack.entries) {
@@ -1297,11 +1349,10 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
       bool adopt = out_.empty() && out_.base() <= snap_base;
       if (adopt) out_.reset_base(snap_base);
       for (uint32_t i = 0; i < count; ++i) {
-        Bytes payload = r.blob();
+        BytesView payload = r.blob_view();
         uint64_t virtual_size = r.u64();
         if (adopt)
-          out_.push(snap_base + static_cast<SeqNum>(i), std::move(payload),
-                    virtual_size);
+          out_.push(snap_base + static_cast<SeqNum>(i), payload, virtual_size);
       }
     } else {
       out_.reset_base(last_assigned + 1);  // v1 kept no slots: pre-crash
@@ -1642,7 +1693,7 @@ SeqNum Stabilizer::send_as(NodeId origin, BytesView payload,
   if (it == adopted_.end()) return kFencedSeq;
   AdoptedStream& a = it->second;
   SeqNum seq = a.sequencer.next();
-  a.out.push(seq, Bytes(payload.begin(), payload.end()), virtual_size);
+  a.out.push(seq, payload, virtual_size);
   STAB_OBS(++ctr_.pending_messages_sent);
   STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
              origin, seq);

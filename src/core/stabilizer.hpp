@@ -564,6 +564,8 @@ class Stabilizer {
   /// have learned -> drop (ahead; heals by retransmit after the takeover
   /// announcement lands). Callers hold mutex_.
   bool admit_data(NodeId src, NodeId origin, PrimaryEpoch epoch);
+  /// Counts and logs a frame whose body failed to decode. Thread-safe.
+  void drop_malformed(NodeId src) const;
   /// Deposed as primary of our own stream: fail own-stream waiters with
   /// kFencedSeq and refuse further send()s. Caller holds mutex_.
   void fence_self();
@@ -648,6 +650,10 @@ class Stabilizer {
   size_t batch_count_ = 0;
   std::shared_ptr<const Bytes> batch_frame_;
   uint64_t batch_wire_ = 0;
+  // DATABATCH entry storage, reused frame after frame: tx_batch_ is the
+  // frame transmit_batch encodes, rx_entries_ the entries on_frame decodes.
+  data::DataBatchFrame tx_batch_;
+  std::vector<data::DataBatchFrame::Entry> rx_entries_;
   // Deferred-flush state (armed only while coalescing is enabled).
   bool flush_armed_ = false;
   TimerId flush_timer_ = kInvalidTimer;
@@ -733,6 +739,7 @@ class Stabilizer {
     obs::Counter& failover_seqs_skipped;
     obs::Counter& failover_seqs_rolled_back;
     obs::Counter& waiters_fenced;
+    obs::Counter& malformed_frames;
     obs::Histogram& batch_frames;       // messages per encoded DATABATCH
     obs::Histogram& ack_flush_entries;  // entries per flushed ACKBATCH
     obs::Histogram& report_flush_entries;  // entries per flushed REPORTBATCH

@@ -11,10 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/ring_deque.hpp"
 #include "common/types.hpp"
 
 namespace stab::data {
@@ -36,12 +37,24 @@ class Sequencer {
   SeqNum next_ = 0;
 };
 
+/// The send ring buffer. Payload bytes are copied into a FIFO of
+/// fixed-size chunks that the buffer owns; each slot views its bytes in a
+/// chunk. A chunk is released once every slot stored in it is reclaimed,
+/// and up to kSpareChunks released chunks are kept for reuse, so a warm
+/// push/reclaim cycle allocates nothing. A payload larger than a chunk gets
+/// a chunk of its own, which is freed, not kept, on release.
 class OutBuffer {
  public:
+  static constexpr size_t kChunkBytes = 64 * 1024;
+  static constexpr size_t kSpareChunks = 2;
+
   struct Slot {
-    SeqNum seq;
-    Bytes payload;
-    uint64_t virtual_size;
+    SeqNum seq = kNoSeq;
+    /// View into a chunk of this buffer; valid until the slot is reclaimed
+    /// (or the buffer destroyed). Wire frames are encoded copies, so no
+    /// transport ever holds these bytes.
+    BytesView payload;
+    uint64_t virtual_size = 0;
     /// Encoded wire frame, filled lazily on first transmission and reused by
     /// every peer fan-out and go-back-N retransmit (encode-once). Shared so
     /// transports can hold the buffer refcounted after the slot is
@@ -51,8 +64,9 @@ class OutBuffer {
     mutable std::shared_ptr<const Bytes> encoded;
   };
 
-  /// Appends a message; seq must be exactly last+1 (FIFO stream).
-  void push(SeqNum seq, Bytes payload, uint64_t virtual_size);
+  /// Appends a message, copying its payload; seq must be exactly last+1
+  /// (FIFO stream).
+  void push(SeqNum seq, BytesView payload, uint64_t virtual_size);
 
   /// Message with this seq, or nullptr if reclaimed / never pushed.
   const Slot* get(SeqNum seq) const;
@@ -71,8 +85,21 @@ class OutBuffer {
   uint64_t buffered_bytes() const { return buffered_bytes_; }
 
  private:
+  struct Chunk {
+    std::unique_ptr<uint8_t[]> data;
+    size_t capacity = 0;
+    size_t used = 0;
+    SeqNum last = kNoSeq;  // newest seq whose payload lives here
+  };
+
+  /// Copies `payload` into the newest chunk (or a fresh one) and returns
+  /// the stored view.
+  BytesView store(SeqNum seq, BytesView payload);
+
   SeqNum base_ = 0;  // seq of slots_.front()
-  std::deque<Slot> slots_;
+  RingDeque<Slot> slots_;
+  RingDeque<Chunk> chunks_;   // oldest first; back() takes new payloads
+  std::vector<Chunk> spare_;  // released kChunkBytes chunks, for reuse
   uint64_t buffered_bytes_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "data/wire.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -347,17 +348,31 @@ DataView decode_data_view(BytesView frame) {
   return out;
 }
 
-DataBatchFrame decode_data_batch(BytesView frame) {
+namespace {
+/// Reads an entry count and checks it against the bytes left, so a hostile
+/// count fails as CodecError before anything is reserved for it.
+uint32_t read_count(Reader& r, size_t min_entry_bytes, const char* what) {
+  const uint32_t n = r.u32();
+  if (n > r.remaining() / min_entry_bytes)
+    throw CodecError(std::string(what) + ": " + std::to_string(n) +
+                     " entries cannot fit in " +
+                     std::to_string(r.remaining()) + " bytes");
+  return n;
+}
+}  // namespace
+
+void decode_data_batch(BytesView frame, DataBatchFrame& out) {
   WIRE_COUNT(kBatchDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kDataBatch))
     throw CodecError("not a DATABATCH frame");
-  DataBatchFrame out;
   out.origin = r.u32();
   out.primary_epoch = r.u32();
   out.first_seq = r.i64();
-  uint32_t n = r.u32();
+  // Entry: u32 payload length + payload + u64 virtual size.
+  uint32_t n = read_count(r, 4 + 8, "DATABATCH");
   if (n == 0) throw CodecError("empty DATABATCH");
+  out.entries.clear();
   out.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     DataBatchFrame::Entry e;
@@ -365,7 +380,6 @@ DataBatchFrame decode_data_batch(BytesView frame) {
     e.virtual_size = r.u64();
     out.entries.push_back(e);
   }
-  return out;
 }
 
 AckBatchFrame decode_ack_batch(BytesView frame) {
@@ -376,7 +390,8 @@ AckBatchFrame decode_ack_batch(BytesView frame) {
   AckBatchFrame out;
   out.reporter = r.u32();
   out.primary_epoch = r.u32();
-  uint32_t n = r.u32();
+  // Entry: u32 origin + u32 type + i64 seq + u32 extra length + extra.
+  uint32_t n = read_count(r, 4 + 4 + 8 + 4, "ACKBATCH");
   out.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     AckEntry e;
@@ -396,14 +411,16 @@ ReportBatchFrame decode_report_batch(BytesView frame) {
     throw CodecError("not a REPORTBATCH frame");
   ReportBatchFrame out;
   out.forwarder = r.u32();
-  uint32_t nblocks = r.u32();
+  // Block: u32 reporter + u32 epoch + u32 entry count + entries.
+  uint32_t nblocks = read_count(r, 4 + 4 + 4, "REPORTBATCH");
   if (nblocks == 0) throw CodecError("empty REPORTBATCH");
   out.blocks.reserve(nblocks);
   for (uint32_t i = 0; i < nblocks; ++i) {
     ReportBlock b;
     b.reporter = r.u32();
     b.primary_epoch = r.u32();
-    uint32_t n = r.u32();
+    // Entry: u32 origin + u32 type + i64 seq.
+    uint32_t n = read_count(r, 4 + 4 + 8, "REPORTBATCH block");
     b.entries.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
       ReportEntry e;

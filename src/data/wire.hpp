@@ -203,14 +203,17 @@ Bytes encode_data(NodeId origin, SeqNum seq, BytesView payload,
 /// application-reserved (>= 0x40) kind byte.
 std::optional<FrameKind> peek_kind(BytesView frame);
 
-/// Decoders throw CodecError on malformed input (transports are trusted to
-/// deliver whole frames; corruption is a programming error in this system).
+/// Decoders throw CodecError on malformed input, including an entry count
+/// larger than the frame's remaining bytes could hold (transports deliver
+/// whole frames, but a frame's body comes from the peer and is not trusted;
+/// the Stabilizer drops and counts a frame that fails to decode).
 DataFrame decode_data(BytesView frame);
 /// Zero-copy decode: the returned payload aliases `frame`.
 DataView decode_data_view(BytesView frame);
-/// Zero-copy decode; throws CodecError on malformed input *and* on an
-/// empty batch (the encoder never produces one).
-DataBatchFrame decode_data_batch(BytesView frame);
+/// Zero-copy decode into `out`, whose entries vector is cleared and refilled
+/// (callers keep one frame and reuse its capacity); throws CodecError on
+/// malformed input *and* on an empty batch (the encoder never produces one).
+void decode_data_batch(BytesView frame, DataBatchFrame& out);
 AckBatchFrame decode_ack_batch(BytesView frame);
 ReportBatchFrame decode_report_batch(BytesView frame);
 ResumeFrame decode_resume(BytesView frame);

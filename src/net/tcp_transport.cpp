@@ -33,6 +33,18 @@ constexpr uint32_t kUnidentifiedTag = 0x80000000;
 // An accepted socket that has not sent its HELLO by then is closed.
 constexpr Duration kHelloTimeout = millis(100);
 
+// Bounds on each pool of received-payload buffers kept for reuse: enough
+// for a burst of coalesced frames, and a buffer grown by a large frame is
+// freed rather than kept.
+constexpr size_t kMaxPooledBuffers = 128;
+constexpr size_t kMaxPooledBufferBytes = 16 * 1024;
+
+void recycle(Bytes buf, std::vector<Bytes>& pool) {
+  if (pool.size() < kMaxPooledBuffers &&
+      buf.capacity() <= kMaxPooledBufferBytes)
+    pool.push_back(std::move(buf));
+}
+
 void set_nonblocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -63,24 +75,15 @@ std::vector<TcpPeerAddr> loopback_addrs(size_t n, uint16_t base_port) {
   return out;
 }
 
-// Frame layout on the wire: u32 body_len | u32 kind | u32 src | body.
-Bytes TcpTransport::encode_frame(uint32_t kind, NodeId src, BytesView payload) {
-  Writer w(payload.size() + 12);
-  w.u32(static_cast<uint32_t>(payload.size()) + 8);
-  w.u32(kind);
-  w.u32(src);
-  w.raw(payload.data(), payload.size());
-  return std::move(w).take();
-}
-
-// Just the 12-byte prefix; the payload rides separately as OutFrame::body.
-Bytes TcpTransport::encode_header(uint32_t kind, NodeId src,
-                                  size_t payload_size) {
-  Writer w(12);
-  w.u32(static_cast<uint32_t>(payload_size) + 8);
-  w.u32(kind);
-  w.u32(src);
-  return std::move(w).take();
+// Frame layout on the wire: u32 body_len | u32 kind | u32 src | body. The
+// returned frame carries the prefix; the caller attaches the body.
+TcpTransport::OutFrame TcpTransport::make_frame(uint32_t kind, NodeId src,
+                                                size_t body_size) {
+  OutFrame f;
+  const uint32_t fields[3] = {static_cast<uint32_t>(body_size) + 8, kind, src};
+  static_assert(sizeof fields == sizeof f.prefix);
+  std::memcpy(f.prefix, fields, sizeof fields);  // little-endian host
+  return f;
 }
 
 TcpTransport::TcpTransport(NodeId self, std::vector<TcpPeerAddr> peers,
@@ -153,17 +156,19 @@ void TcpTransport::set_receive_handler(ReceiveHandler handler) {
 
 void TcpTransport::send(NodeId dst, Bytes frame, uint64_t /*wire_size*/) {
   if (dst == self_ || dst >= peers_.size()) return;
-  enqueue_or_pend(dst, OutFrame{encode_frame(kKindData, self_, frame), {}});
+  OutFrame out = make_frame(kKindData, self_, frame.size());
+  out.owned = std::move(frame);
+  enqueue_or_pend(dst, std::move(out));
 }
 
 void TcpTransport::send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
                                uint64_t /*wire_size*/) {
   if (dst == self_ || dst >= peers_.size()) return;
-  // Queue a 12-byte header plus a reference on the caller's buffer; the
-  // socket write scatter-gathers both with one writev. A broadcast's N
-  // sends share one body allocation.
-  OutFrame out{encode_header(kKindData, self_, frame->size()),
-               std::move(frame)};
+  // Queue the prefix plus a reference on the caller's buffer; the socket
+  // write scatter-gathers both with one writev. A broadcast's N sends share
+  // one body allocation.
+  OutFrame out = make_frame(kKindData, self_, frame->size());
+  out.shared = std::move(frame);
   enqueue_or_pend(dst, std::move(out));
 }
 
@@ -326,7 +331,7 @@ void TcpTransport::enforce_pending_bound_locked(NodeId peer) {
 void TcpTransport::flush_pending_locked(NodeId peer) {
   Conn& c = conns_[peer];
   if (!c.hello_sent) {
-    c.outq.push_front(OutFrame{encode_frame(kKindHello, self_, {}), {}});
+    c.outq.push_front(make_frame(kKindHello, self_, 0));
     c.hello_sent = true;
     c.out_offset = 0;
   }
@@ -466,17 +471,12 @@ void TcpTransport::handle_readable(NodeId peer) {
       return;
     }
   }
-  // Parse complete frames. Under direct dispatch the handler is invoked on
-  // this IO thread — but never while holding mutex_ (the handler's ingest
-  // path may call back into send(), which takes it). Frames are collected
-  // under the lock, then dispatched after it is released, preserving
-  // per-peer FIFO order.
-  const bool direct = direct_dispatch_.load(std::memory_order_acquire);
-  struct Parsed {
-    NodeId src;
-    Bytes payload;
-  };
-  std::vector<Parsed> ready;
+  // Parse complete frames into ready_, each payload copied into a pooled
+  // buffer. Under direct dispatch the handler is invoked on this IO thread —
+  // but never while holding mutex_ (the handler's ingest path may call back
+  // into send(), which takes it). Otherwise the frames go to the inbox for
+  // the Env thread. Either way per-peer FIFO order is kept.
+  const bool deliver = static_cast<bool>(handler_);
   size_t pos = 0;
   bool malformed = false;
   while (c.inbuf.size() - pos >= 4) {
@@ -494,22 +494,13 @@ void TcpTransport::handle_readable(NodeId peer) {
     Reader r(BytesView(c.inbuf.data() + pos + 4, 8));
     uint32_t kind = r.u32();
     NodeId src = r.u32();
-    Bytes payload(c.inbuf.begin() + static_cast<ptrdiff_t>(pos + 12),
-                  c.inbuf.begin() + static_cast<ptrdiff_t>(pos + frame_len));
-    pos += frame_len;
-    if (kind == kKindData && handler_) {
-      if (direct) {
-        ready.push_back(Parsed{src, std::move(payload)});
-        continue;
-      }
-      auto handler = handler_;
-      uint64_t wire = payload.size();
-      env_.schedule_after(Duration::zero(),
-                          [handler, src, payload = std::move(payload),
-                           wire]() {
-                            handler(src, BytesView(payload), wire);
-                          });
+    if (kind == kKindData && deliver) {
+      Bytes payload = take_buffer();
+      payload.assign(c.inbuf.begin() + static_cast<ptrdiff_t>(pos + 12),
+                     c.inbuf.begin() + static_cast<ptrdiff_t>(pos + frame_len));
+      ready_.push_back(InFrame{src, std::move(payload)});
     }
+    pos += frame_len;
   }
   if (malformed) {
     close_conn(peer, "malformed frame");  // frames before it still go out
@@ -517,11 +508,61 @@ void TcpTransport::handle_readable(NodeId peer) {
     c.inbuf.erase(c.inbuf.begin(),
                   c.inbuf.begin() + static_cast<ptrdiff_t>(pos));
   }
-  if (ready.empty()) return;
-  auto handler = handler_;
+  if (ready_.empty()) return;
+  if (direct_dispatch_.load(std::memory_order_acquire)) {
+    auto handler = handler_;
+    lock.unlock();
+    for (InFrame& f : ready_) {
+      handler(f.src, BytesView(f.payload), f.payload.size());
+      recycle(std::move(f.payload), spare_);
+    }
+    ready_.clear();
+    return;
+  }
   lock.unlock();
-  for (Parsed& p : ready)
-    handler(p.src, BytesView(p.payload), p.payload.size());
+  bool post = false;
+  {
+    std::lock_guard<std::mutex> inbox(inbox_mutex_);
+    post = inbox_.empty();  // else a drain task is already on its way
+    for (InFrame& f : ready_) inbox_.push_back(std::move(f));
+  }
+  ready_.clear();
+  if (post) env_.post([this] { drain_inbox(); });
+}
+
+// Env thread. The drain swaps the inbox out whole, so frames that arrive
+// while it runs land in an empty inbox and post the next drain.
+void TcpTransport::drain_inbox() {
+  ReceiveHandler handler;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    handler = handler_;  // a removed handler drops what is still queued
+  }
+  {
+    std::lock_guard<std::mutex> inbox(inbox_mutex_);
+    draining_.swap(inbox_);
+  }
+  if (handler)
+    for (const InFrame& f : draining_)
+      handler(f.src, BytesView(f.payload), f.payload.size());
+  {
+    std::lock_guard<std::mutex> inbox(inbox_mutex_);
+    for (InFrame& f : draining_) recycle(std::move(f.payload), returned_);
+  }
+  draining_.clear();
+}
+
+// IO thread: a buffer for the next received payload, from the IO thread's
+// own pool, refilled with the buffers the Env thread has drained.
+Bytes TcpTransport::take_buffer() {
+  if (spare_.empty()) {
+    std::lock_guard<std::mutex> inbox(inbox_mutex_);
+    spare_.swap(returned_);
+  }
+  if (spare_.empty()) return {};
+  Bytes b = std::move(spare_.back());
+  spare_.pop_back();
+  return b;
 }
 
 void TcpTransport::handle_writable(NodeId peer) {
@@ -563,27 +604,28 @@ void TcpTransport::handle_wake() {
 
 void TcpTransport::write_locked(NodeId peer) {
   Conn& c = conns_[peer];
-  // Scatter-gather up to 16 queued frames (header + shared body each) per
+  // Scatter-gather up to 16 queued frames (prefix + body each) per
   // writev so a coalesced broadcast flush costs one syscall, not one per
   // frame. out_offset tracks progress within outq.front() only.
   while (!c.outq.empty()) {
     iovec iov[32];
     int iovcnt = 0;
     size_t queued = 0;
-    for (const OutFrame& f : c.outq) {
+    for (; queued < c.outq.size(); ++queued) {
       if (iovcnt + 2 > static_cast<int>(std::size(iov))) break;
+      const OutFrame& f = c.outq[queued];
       size_t skip = queued == 0 ? c.out_offset : 0;
-      if (skip < f.head.size()) {
-        iov[iovcnt++] = {const_cast<uint8_t*>(f.head.data() + skip),
-                         f.head.size() - skip};
+      if (skip < sizeof f.prefix) {
+        iov[iovcnt++] = {const_cast<uint8_t*>(f.prefix + skip),
+                         sizeof f.prefix - skip};
         skip = 0;
       } else {
-        skip -= f.head.size();
+        skip -= sizeof f.prefix;
       }
-      if (f.body && skip < f.body->size())
-        iov[iovcnt++] = {const_cast<uint8_t*>(f.body->data() + skip),
-                         f.body->size() - skip};
-      ++queued;
+      const BytesView body = f.body();
+      if (skip < body.size())
+        iov[iovcnt++] = {const_cast<uint8_t*>(body.data() + skip),
+                         body.size() - skip};
     }
     if (iovcnt == 0) {  // front frame fully written (empty remainder)
       c.outq.pop_front();

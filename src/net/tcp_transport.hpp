@@ -3,6 +3,11 @@
 // are handed to the node's RealtimeEnv thread so application callbacks keep
 // the single-threaded Stabilizer discipline.
 //
+// Received frames reach the Env thread through a transport-owned inbox: the
+// IO thread appends, and posts one drain task only when the inbox goes from
+// empty to non-empty. Drained payload buffers go back to the IO thread for
+// the next frames, so a warm receive path allocates no buffer per frame.
+//
 // Only the IO thread writes to a socket. send()/send_shared() append to the
 // peer's outq under mutex_ and write the eventfd only when that queue goes
 // from empty to non-empty; the IO thread answers the wake by writing every
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "common/realtime_env.hpp"
+#include "common/ring_deque.hpp"
 #include "common/rng.hpp"
 #include "net/transport.hpp"
 #include "obs/obs.hpp"
@@ -99,15 +105,23 @@ class TcpTransport final : public Transport {
   Duration current_backoff(NodeId peer) const;
 
  private:
-  /// One queued wire frame. Fully-materialized frames (HELLO, plain send)
-  /// carry everything in `head`; shared sends carry only the 12-byte length
-  /// prefix in `head` and reference the caller's encoded frame as `body`, so
-  /// an N-peer broadcast queues N tiny headers plus one shared buffer. The
-  /// two parts are written with one writev (scatter-gather).
+  /// One queued wire frame: the 12-byte prefix inline, then a body that is
+  /// either the caller's bytes moved in (plain send) or a reference on the
+  /// caller's encoded frame (send_shared, so an N-peer broadcast queues N
+  /// prefixes plus one shared buffer). HELLO has no body. The two parts are
+  /// written with one writev (scatter-gather).
   struct OutFrame {
-    Bytes head;
-    std::shared_ptr<const Bytes> body;  // may be null
-    size_t size() const { return head.size() + (body ? body->size() : 0); }
+    uint8_t prefix[12] = {};  // u32 body_len | u32 kind | u32 src
+    Bytes owned;
+    std::shared_ptr<const Bytes> shared;  // when set, the body
+    BytesView body() const { return shared ? BytesView(*shared) : owned; }
+    size_t size() const { return sizeof prefix + body().size(); }
+  };
+
+  /// A received frame on its way to the Env thread.
+  struct InFrame {
+    NodeId src = kInvalidNode;
+    Bytes payload;
   };
 
   struct Conn {
@@ -116,7 +130,7 @@ class TcpTransport final : public Transport {
     bool hello_sent = false;
     uint32_t events = 0;       // epoll mask registered for fd
     Bytes inbuf;
-    std::deque<OutFrame> outq;
+    RingDeque<OutFrame> outq;
     size_t out_offset = 0;     // bytes of outq.front() already written
     TimePoint retry_at = kTimeZero;
   };
@@ -146,8 +160,9 @@ class TcpTransport final : public Transport {
   void enforce_pending_bound_locked(NodeId peer);
   Duration next_retry_delay_locked(NodeId peer);
   void rearm_epoll(NodeId peer);
-  static Bytes encode_frame(uint32_t kind, NodeId src, BytesView payload);
-  static Bytes encode_header(uint32_t kind, NodeId src, size_t payload_size);
+  Bytes take_buffer();
+  void drain_inbox();
+  static OutFrame make_frame(uint32_t kind, NodeId src, size_t body_size);
 
   const NodeId self_;
   const std::vector<TcpPeerAddr> peers_;
@@ -163,6 +178,16 @@ class TcpTransport final : public Transport {
   uint64_t pending_dropped_ = 0;
   ReceiveHandler handler_;
   std::atomic<bool> direct_dispatch_{false};
+
+  // Receive inbox (DESIGN.md §4g). inbox_ and returned_ are guarded by
+  // inbox_mutex_ (taken alone, or inside mutex_); draining_ belongs to the
+  // Env thread, ready_ and spare_ to the IO thread.
+  std::mutex inbox_mutex_;
+  std::vector<InFrame> inbox_;     // IO thread -> Env thread
+  std::vector<Bytes> returned_;    // drained buffers, Env thread -> IO thread
+  std::vector<InFrame> draining_;  // the inbox being drained
+  std::vector<InFrame> ready_;     // frames parsed by one handle_readable
+  std::vector<Bytes> spare_;       // buffers for the next frames
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;

@@ -1,25 +1,36 @@
-// Allocation guard for the control-plane apply path.
+// Allocation guard for the control-plane apply path and the data path.
 //
 // This binary replaces the global operator new with a counting one and pins
-// a structural property of the hot path: once warmed up, applying a
+// a structural property of the hot paths: once warmed up, applying a
 // stability-report batch — FrontierEngine::on_ack_batch directly, and a
-// Stabilizer's ACKBATCH and DATA receive path — performs zero heap
-// allocations per frame. Monitors fire and waiters wake inside the counted
-// region; parking a waiter (which stores its callback) stays outside it.
-// Frame decoding is outside the claim too: an ACKBATCH decodes into an
+// Stabilizer's ACKBATCH, DATA and DATABATCH receive path — performs zero
+// heap allocations per frame. Monitors fire and waiters wake inside the
+// counted region; parking a waiter (which stores its callback) stays outside
+// it. Frame decoding is outside the claim for ACKBATCH: it decodes into an
 // owning vector, so that case asserts the apply adds nothing on top of
-// decode_ack_batch itself.
+// decode_ack_batch itself. On the data path, a warm send buffer
+// push/reclaim cycle and a warm TCP frame round trip allocate nothing
+// either.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "config/topology.hpp"
 #include "control/frontier_engine.hpp"
 #include "core/stabilizer.hpp"
+#include "data/out_buffer.hpp"
+#include "net/tcp_transport.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -192,6 +203,29 @@ TEST(AllocGuard, StabilizerDataApplyIsAllocationFree) {
   EXPECT_GT(s.fired, fired_before);
 }
 
+TEST(AllocGuard, StabilizerDataBatchApplyIsAllocationFree) {
+  StabilizerUnderTest s;
+  const Bytes payload(64, 'x');
+  std::vector<Bytes> frames;
+  for (SeqNum first = 0; first < 16 * 600; first += 16) {
+    data::DataBatchFrame batch;
+    batch.origin = 0;
+    batch.first_seq = first;
+    for (int i = 0; i < 16; ++i)
+      batch.entries.push_back(
+          data::DataBatchFrame::Entry{BytesView(payload), 0});
+    frames.push_back(data::encode(batch));
+  }
+  for (size_t i = 0; i < 100; ++i) s.transport.deliver(0, frames[i]);
+  const uint64_t fired_before = s.fired;
+  uint64_t allocs = 0;
+  for (size_t i = 100; i < frames.size(); ++i)
+    allocs += count_allocs([&] { s.transport.deliver(0, frames[i]); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(s.node->delivered_through(0), 16 * 600 - 1);
+  EXPECT_GT(s.fired, fired_before);
+}
+
 TEST(AllocGuard, StabilizerAckBatchApplyAddsNoAllocationToDecode) {
   StabilizerUnderTest s;
   const StabilityTypeId verified = *s.node->types().find("verified");
@@ -228,6 +262,83 @@ TEST(AllocGuard, StabilizerAckBatchApplyAddsNoAllocationToDecode) {
   EXPECT_GT(decode, 0u);
   EXPECT_EQ(apply, decode);
   EXPECT_GT(s.fired, fired_before);
+}
+
+// The send buffer in a tcp_bulk-like steady state: 64 B payloads, about
+// 4096 unacknowledged, reclaimed in ack-sized steps. Chunks cycle through
+// the spare list and the slot ring keeps its capacity.
+TEST(AllocGuard, WarmOutBufferPushReclaimIsAllocationFree) {
+  data::OutBuffer b;
+  const Bytes payload(64, 0xab);
+  SeqNum next = 0;
+  auto cycle = [&] {
+    for (int i = 0; i < 512; ++i) b.push(next++, BytesView(payload), 0);
+    b.reclaim_through(next - 4097);
+  };
+  for (int i = 0; i < 64; ++i) cycle();
+  EXPECT_EQ(count_allocs([&] {
+              for (int i = 0; i < 256; ++i) cycle();
+            }),
+            0u);
+  EXPECT_EQ(b.size(), 4096u);
+  EXPECT_EQ(b.get(next - 1)->payload[63], 0xab);
+}
+
+/// A loopback port the kernel reports free (bound to port 0, then closed).
+uint16_t free_port() {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa);
+  socklen_t len = sizeof sa;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
+  ::close(fd);
+  return ntohs(sa.sin_port);
+}
+
+// A frame's whole way over loopback TCP — send_shared's queue entry, the
+// IO thread's write and read, the pooled receive buffer and the handler
+// call — allocates nothing once the queues and buffer pools are warm.
+// Bursts are waited out so no queue grows past its warm size. With direct
+// dispatch the IO thread calls the handler; through the inbox, the only
+// allocation left is the Env's timer-queue entry of each drain task, and
+// there is at most one drain per frame (at the parent every frame cost a
+// payload copy, a heap task capture, a timer-queue node and a header).
+void expect_warm_tcp_round_trip(bool direct) {
+  const std::vector<TcpPeerAddr> addrs = {{"127.0.0.1", free_port()},
+                                          {"127.0.0.1", free_port()}};
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+  std::atomic<uint64_t> got{0};
+  b.set_receive_handler(
+      [&got](NodeId, BytesView, uint64_t) { got.fetch_add(1); });
+  b.set_direct_dispatch(direct);
+  const auto frame = std::make_shared<const Bytes>(1200, 0x5a);
+  auto burst = [&](uint64_t n) {
+    const uint64_t target = got.load() + n;
+    for (uint64_t i = 0; i < n; ++i) a.send_shared(1, frame);
+    for (int spin = 0; got.load() < target && spin < 5000000; ++spin)
+      std::this_thread::yield();
+  };
+  for (int i = 0; i < 200; ++i) burst(16);
+  const uint64_t allocs = count_allocs([&] {
+    for (int i = 0; i < 200; ++i) burst(16);
+  });
+  EXPECT_EQ(got.load(), 400u * 16);
+  if (direct)
+    EXPECT_EQ(allocs, 0u);
+  else
+    EXPECT_LE(allocs, 200u * 16);
+}
+
+TEST(AllocGuard, WarmTcpFrameRoundTripIsAllocationFree) {
+  expect_warm_tcp_round_trip(/*direct=*/true);
+}
+
+TEST(AllocGuard, WarmTcpInboxRoundTripAllocatesOnlyDrainTasks) {
+  expect_warm_tcp_round_trip(/*direct=*/false);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/realtime_env.hpp"
@@ -202,6 +206,83 @@ TEST(RealtimeEnv, PostRunsSoon) {
   for (int i = 0; i < 200 && !ran; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_TRUE(ran.load());
+}
+
+/// Holds the Env thread inside a task until release(), so a test can queue
+/// work behind it and then let it all run.
+class EnvGate {
+ public:
+  explicit EnvGate(RealtimeEnv& env) {
+    env.post([this] {
+      std::unique_lock<std::mutex> l(m_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(l, [this] { return open_; });
+    });
+    std::unique_lock<std::mutex> l(m_);
+    cv_.wait(l, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> l(m_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+// Posts and timers share one order, (due time, schedule order): a post is
+// due when made, so a timer that fell due before a post runs before it, one
+// due after it runs after it, and posts with equal due times keep their
+// schedule order.
+TEST(RealtimeEnv, PostsAndTimersRunByDueTimeThenScheduleOrder) {
+  RealtimeEnv env;
+  std::mutex m;
+  std::vector<std::string> order;
+  auto note = [&](std::string s) {
+    return [&, s] {
+      std::lock_guard<std::mutex> l(m);
+      order.push_back(s);
+    };
+  };
+  EnvGate gate(env);
+  env.schedule_after(millis(200), note("timer-200ms"));
+  env.post(note("post-1"));
+  env.schedule_after(Duration::zero(), note("post-2"));
+  env.post(note("post-3"));
+  env.schedule_after(millis(1), note("timer-1ms"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  env.post(note("post-4"));  // made after timer-1ms fell due
+  gate.release();
+  for (int i = 0; i < 500; ++i) {
+    {
+      std::lock_guard<std::mutex> l(m);
+      if (order.size() == 6) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::lock_guard<std::mutex> l(m);
+  EXPECT_EQ(order, (std::vector<std::string>{"post-1", "post-2", "post-3",
+                                             "timer-1ms", "post-4",
+                                             "timer-200ms"}));
+}
+
+TEST(RealtimeEnv, CancelsPendingPost) {
+  RealtimeEnv env;
+  std::atomic<int> cancelled{0}, kept{0};
+  EnvGate gate(env);
+  TimerId id = env.post([&] { ++cancelled; });
+  env.post([&] { ++kept; });
+  env.cancel(id);
+  gate.release();
+  for (int i = 0; i < 500 && kept == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(kept.load(), 1);
+  EXPECT_EQ(cancelled.load(), 0);
 }
 
 TEST(SpscRing, CapacityRoundsUpAndSingleThreadFifo) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 
+#include "common/ring_deque.hpp"
 #include "common/rng.hpp"
 #include "data/out_buffer.hpp"
 #include "data/receive_tracker.hpp"
@@ -13,6 +15,12 @@
 
 namespace stab::data {
 namespace {
+
+DataBatchFrame decode_batch(BytesView frame) {
+  DataBatchFrame out;
+  decode_data_batch(frame, out);
+  return out;
+}
 
 TEST(Wire, DataRoundTrip) {
   DataFrame in;
@@ -90,7 +98,7 @@ TEST(Wire, PrimaryEpochRoundTripsOnEveryFencedFrameKind) {
   Bytes payload = to_bytes("bb");
   b.entries.push_back(DataBatchFrame::Entry{BytesView(payload), 0});
   Bytes benc = encode(b);
-  EXPECT_EQ(decode_data_batch(benc).primary_epoch, 3u);
+  EXPECT_EQ(decode_batch(benc).primary_epoch, 3u);
 
   AckBatchFrame a;
   a.reporter = 4;
@@ -211,7 +219,7 @@ TEST(Wire, DataBatchRoundTripProperty) {
                                                      : 0});
     }
     Bytes enc = encode(in);
-    DataBatchFrame out = decode_data_batch(enc);
+    DataBatchFrame out = decode_batch(enc);
     EXPECT_EQ(out.origin, in.origin);
     EXPECT_EQ(out.first_seq, in.first_seq);
     ASSERT_EQ(out.entries.size(), count);
@@ -236,7 +244,7 @@ TEST(Wire, DataBatchRejectsEmpty) {
   w.u32(2);
   w.i64(10);
   w.u32(0);  // count = 0
-  EXPECT_THROW(decode_data_batch(std::move(w).take()), CodecError);
+  EXPECT_THROW(decode_batch(std::move(w).take()), CodecError);
 }
 
 TEST(Wire, DataBatchMalformedThrows) {
@@ -248,8 +256,87 @@ TEST(Wire, DataBatchMalformedThrows) {
   b.entries.push_back(DataBatchFrame::Entry{BytesView(p), 9});
   Bytes enc = encode(b);
   Bytes truncated(enc.begin(), enc.end() - 3);
-  EXPECT_THROW(decode_data_batch(truncated), CodecError);
-  EXPECT_THROW(decode_data_batch(encode(DataFrame{})), CodecError);
+  EXPECT_THROW(decode_batch(truncated), CodecError);
+  EXPECT_THROW(decode_batch(encode(DataFrame{})), CodecError);
+}
+
+TEST(Wire, DataBatchDecodeReusesEntries) {
+  Bytes p = to_bytes("abc");
+  DataBatchFrame b;
+  b.origin = 1;
+  b.first_seq = 0;
+  for (int i = 0; i < 8; ++i)
+    b.entries.push_back(DataBatchFrame::Entry{BytesView(p), 0});
+  Bytes eight = encode(b);
+  b.entries.resize(2);
+  b.first_seq = 8;
+  Bytes two = encode(b);
+
+  DataBatchFrame out;
+  decode_data_batch(eight, out);
+  ASSERT_EQ(out.entries.size(), 8u);
+  const auto* storage = out.entries.data();
+  decode_data_batch(two, out);  // replaces the entries, keeps the storage
+  ASSERT_EQ(out.entries.size(), 2u);
+  EXPECT_EQ(out.first_seq, 8);
+  EXPECT_EQ(out.entries.data(), storage);
+  EXPECT_EQ(to_string(out.entries[1].payload), "abc");
+}
+
+// A count field larger than the bytes left could hold must fail as
+// CodecError before the decoder reserves storage for it (reserve(0xFFFFFFFF)
+// would throw std::bad_alloc or exhaust memory instead).
+TEST(Wire, DataBatchHostileCountThrowsCodecError) {
+  Writer w;
+  w.u8(4);  // kDataBatch
+  w.u32(1);
+  w.u32(0);
+  w.i64(0);
+  w.u32(0xFFFFFFFF);
+  ASSERT_EQ(w.size(), 21u);
+  EXPECT_THROW(decode_batch(w.bytes()), CodecError);
+  // One 12-byte entry fits, two do not.
+  Writer one;
+  one.u8(4);
+  one.u32(1);
+  one.u32(0);
+  one.i64(0);
+  one.u32(2);
+  one.blob({});
+  one.u64(0);
+  EXPECT_THROW(decode_batch(one.bytes()), CodecError);
+}
+
+TEST(Wire, AckBatchHostileCountThrowsCodecError) {
+  Writer w;
+  w.u8(2);  // kAckBatch
+  w.u32(1);
+  w.u32(0);
+  w.u32(0xFFFFFFFF);
+  EXPECT_THROW(decode_ack_batch(w.bytes()), CodecError);
+  // Exactly enough bytes for the declared entries still decodes.
+  AckBatchFrame a;
+  a.reporter = 1;
+  a.entries.push_back(AckEntry{0, 0, 3, {}});
+  a.entries.push_back(AckEntry{1, 0, 4, {}});
+  EXPECT_EQ(decode_ack_batch(encode(a)).entries.size(), 2u);
+}
+
+TEST(Wire, ReportBatchHostileCountsThrowCodecError) {
+  Writer blocks;
+  blocks.u8(5);  // kReportBatch
+  blocks.u32(1);
+  blocks.u32(0xFFFFFFFF);  // block count
+  EXPECT_THROW(decode_report_batch(blocks.bytes()), CodecError);
+
+  Writer entries;
+  entries.u8(5);
+  entries.u32(1);
+  entries.u32(1);           // one block
+  entries.u32(2);           // reporter
+  entries.u32(0);           // epoch
+  entries.u32(0xFFFFFFFF);  // entry count
+  EXPECT_THROW(decode_report_batch(entries.bytes()), CodecError);
 }
 
 TEST(Wire, EncodersAreSingleAllocation) {
@@ -381,6 +468,129 @@ TEST(OutBuffer, GetOutOfRange) {
   OutBuffer b;
   EXPECT_EQ(b.get(0), nullptr);
   EXPECT_EQ(b.get(-1), nullptr);
+}
+
+// The send buffer's chunk ring against a plain model: payload sizes from
+// empty to more than one chunk, interleaved push / get / reclaim_through,
+// byte-exact reads of every retained slot and exact buffered_bytes.
+TEST(OutBuffer, ChunkRingMatchesModelProperty) {
+  Rng rng(0xc4a7);
+  OutBuffer b;
+  std::deque<std::pair<Bytes, uint64_t>> model;  // retained, oldest first
+  SeqNum base = 0;
+  uint64_t model_bytes = 0;
+  auto check = [&] {
+    ASSERT_EQ(b.base(), base);
+    ASSERT_EQ(b.size(), model.size());
+    ASSERT_EQ(b.buffered_bytes(), model_bytes);
+    for (size_t i = 0; i < model.size(); ++i) {
+      const OutBuffer::Slot* s = b.get(base + static_cast<SeqNum>(i));
+      ASSERT_NE(s, nullptr);
+      ASSERT_EQ(s->seq, base + static_cast<SeqNum>(i));
+      ASSERT_EQ(s->virtual_size, model[i].second);
+      ASSERT_TRUE(std::equal(s->payload.begin(), s->payload.end(),
+                             model[i].first.begin(), model[i].first.end()));
+    }
+    EXPECT_EQ(b.get(base - 1), nullptr);
+    EXPECT_EQ(b.get(base + static_cast<SeqNum>(model.size())), nullptr);
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t op = rng.next_below(10);
+    if (op < 6) {
+      size_t len;
+      const uint64_t shape = rng.next_below(20);
+      if (shape == 0) len = 0;
+      else if (shape == 1) len = OutBuffer::kChunkBytes + rng.next_below(5000);
+      else if (shape == 2) len = OutBuffer::kChunkBytes - rng.next_below(64);
+      else if (shape < 6) len = 1000 + rng.next_below(30000);
+      else len = rng.next_below(200);
+      Bytes p(len);
+      for (auto& byte : p) byte = static_cast<uint8_t>(rng.next_u64());
+      const uint64_t virt = rng.next_bool(0.2) ? rng.next_below(100) : 0;
+      b.push(base + static_cast<SeqNum>(model.size()), p, virt);
+      model_bytes += len + virt;
+      model.emplace_back(std::move(p), virt);
+    } else if (op < 9) {
+      const size_t drop = model.empty() ? 0 : rng.next_below(model.size() + 1);
+      b.reclaim_through(base + static_cast<SeqNum>(drop) - 1);
+      for (size_t i = 0; i < drop; ++i) {
+        model_bytes -= model.front().first.size() + model.front().second;
+        model.pop_front();
+      }
+      base += static_cast<SeqNum>(drop);
+    } else {
+      check();
+    }
+  }
+  check();
+}
+
+// Snapshot restore refills the send buffer through reset_base + push; the
+// restored slots must read back byte-exact across chunk boundaries.
+TEST(OutBuffer, ResetBaseAndRestoreAcrossChunks) {
+  OutBuffer b;
+  Bytes big(OutBuffer::kChunkBytes / 3 + 7);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint8_t>(i);
+  for (SeqNum s = 0; s < 5; ++s) b.push(s, big, 0);
+  b.reclaim_through(4);
+  ASSERT_TRUE(b.empty());
+  b.reset_base(1000);
+  std::vector<Bytes> restored;
+  for (int i = 0; i < 9; ++i) {
+    Bytes p(OutBuffer::kChunkBytes / 4 + static_cast<size_t>(i) * 11);
+    for (size_t j = 0; j < p.size(); ++j)
+      p[j] = static_cast<uint8_t>(i * 31 + static_cast<int>(j));
+    b.push(1000 + i, p, 0);
+    restored.push_back(std::move(p));
+  }
+  for (int i = 0; i < 9; ++i) {
+    const OutBuffer::Slot* s = b.get(1000 + i);
+    ASSERT_NE(s, nullptr);
+    EXPECT_TRUE(std::equal(s->payload.begin(), s->payload.end(),
+                           restored[i].begin(), restored[i].end()));
+  }
+  EXPECT_THROW(b.reset_base(5000), std::logic_error);
+  b.reclaim_through(1003);
+  ASSERT_NE(b.get(1004), nullptr);
+  EXPECT_TRUE(std::equal(b.get(1008)->payload.begin(),
+                         b.get(1008)->payload.end(), restored[8].begin(),
+                         restored[8].end()));
+}
+
+// RingDeque, the send buffer's slot and chunk ring, against std::deque: both ends, wrap-around and growth while
+// wrapped, index access, and popped elements released at once.
+TEST(RingDeque, MatchesStdDequeAndReleasesPopped) {
+  RingDeque<std::shared_ptr<int>> ring;
+  std::deque<int> model;
+  Rng rng(3);
+  for (int step = 0; step < 5000; ++step) {
+    const uint64_t op = rng.next_below(4);
+    if (op == 0) {
+      ring.push_back(std::make_shared<int>(step));
+      model.push_back(step);
+    } else if (op == 1) {
+      ring.push_front(std::make_shared<int>(step));
+      model.push_front(step);
+    } else if (!model.empty() && op == 2) {
+      std::weak_ptr<int> w = ring.front();
+      ring.pop_front();
+      model.pop_front();
+      EXPECT_TRUE(w.expired());
+    } else if (!model.empty()) {
+      ring.pop_back();
+      model.pop_back();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    if (!model.empty()) {
+      ASSERT_EQ(*ring.front(), model.front());
+      ASSERT_EQ(*ring.back(), model.back());
+      const size_t i = rng.next_below(model.size());
+      ASSERT_EQ(*ring[i], model[i]);
+    }
+  }
+  ring.release();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);
 }
 
 TEST(ReceiveTracker, AcceptsInOrder) {

@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include "config/topology.hpp"
+#include "core/stabilizer.hpp"
+#include "data/wire.hpp"
 #include "net/inproc_transport.hpp"
 #include "net/metrics_endpoint.hpp"
 #include "net/sim_transport.hpp"
@@ -477,6 +479,63 @@ TEST(Tcp, FramePrefixShorterThanHeaderClosesOnlyThatConnection) {
 TEST(Tcp, FramePrefixNear4GiBDoesNotWrap) {
   expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 52),
                                  0xFFFFFFFCu);
+}
+
+// A connected peer whose frame bodies do not decode must not take the
+// receiving Stabilizer's process down: each such frame is dropped and
+// counted in data.malformed_frames, and later valid frames still deliver.
+// Under kLegacyLocked every body is decoded on the Env thread; under
+// kPipelined an ACKBATCH body is decoded on the transport's IO thread.
+void expect_drops_malformed_bodies(uint16_t base_port,
+                                   StabilizerOptions::PipelineMode mode) {
+  Topology topo;
+  topo.add_node("a", "east");
+  topo.add_node("b", "east");
+  topo.set_link(0, 1, LinkSpec{});
+  topo.set_link(1, 0, LinkSpec{});
+  auto addrs = loopback_addrs(2, base_port);
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+  StabilizerOptions opts;
+  opts.topology = topo;
+  opts.self = 1;
+  opts.pipeline_mode = mode;
+  Stabilizer node(opts, b);
+  std::atomic<int> delivered{0};
+  node.set_delivery_handler(
+      [&](NodeId, SeqNum, BytesView payload, uint64_t) {
+        if (to_string(payload) == "after") ++delivered;
+      });
+
+  const std::vector<Bytes> hostile = {
+      {0x04, 0x00, 0x00},              // DATABATCH cut inside its header
+      {0x02, 0x00},                    // ACKBATCH cut inside its header
+      {0x01},                          // DATA with no header
+      {0x05, 0x01, 0x00, 0x00, 0x00},  // REPORTBATCH with no block count
+      {0x03, 0x00},                    // RESUME cut short
+  };
+  for (const Bytes& f : hostile) a.send(1, f);
+  a.send(1, data::encode_data(0, 0, to_bytes("after"), 0));
+  for (int i = 0; i < 2000 && delivered == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(delivered.load(), 1);
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(node.metrics().counter("data.malformed_frames").value(),
+            hostile.size());
+#endif
+}
+
+TEST(Tcp, MalformedFrameBodyIsDroppedAndCounted) {
+  expect_drops_malformed_bodies(
+      static_cast<uint16_t>(pick_base_port() + 60),
+      StabilizerOptions::PipelineMode::kLegacyLocked);
+}
+
+TEST(Tcp, MalformedFrameBodyIsDroppedAndCountedPipelined) {
+  expect_drops_malformed_bodies(
+      static_cast<uint16_t>(pick_base_port() + 62),
+      StabilizerOptions::PipelineMode::kPipelined);
 }
 
 TEST(Tcp, SilentConnectionDoesNotStallTraffic) {
