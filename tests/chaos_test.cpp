@@ -547,6 +547,36 @@ TEST(ChaosCampaign, CoalescedCampaignHoldsInvariantsAcrossDispatchModes) {
   EXPECT_EQ(indexed->core_digest(), plain->core_digest());
 }
 
+// --- golden per-seed digests ---------------------------------------------------
+//
+// The full digest (state + stats) of the scripted campaign, recorded as an
+// FNV-1a 64 hash. Refactors of the send path must leave every frame and
+// every event in the same order, so these stay equal; a deliberate
+// behaviour change re-records them and says why. The stats half reads 0
+// under -DSTAB_OBS=OFF, hence the guard.
+
+std::string fnv64_hex(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) h = (h ^ c) * 1099511628211ULL;
+  std::ostringstream os;
+  os << std::hex << h;
+  return os.str();
+}
+
+#if STAB_OBS_ENABLED
+TEST(ChaosGolden, ScriptedCampaignDigestMatchesRecordedGolden) {
+  auto c = run_scripted(0xC0FFEE, DispatchMode::kIndexed);
+  EXPECT_EQ(fnv64_hex(c->digest()), "cc2fc6797f9cce45") << c->digest();
+}
+
+TEST(ChaosGolden, CoalescedScriptedCampaignDigestMatchesRecordedGolden) {
+  StabilizerOptions coalesced = chaos_base_options();
+  coalesced.coalesce_max_frames = 16;
+  auto c = run_scripted(0xC0FFEE, DispatchMode::kIndexed, coalesced);
+  EXPECT_EQ(fnv64_hex(c->digest()), "1446bf730abe1d8c") << c->digest();
+}
+#endif  // STAB_OBS_ENABLED
+
 // --- observability of a campaign ----------------------------------------------
 
 #if STAB_OBS_ENABLED

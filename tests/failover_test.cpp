@@ -301,6 +301,23 @@ struct FailoverCluster {
     return out.str();
   }
 
+  /// Data-plane counters of every live node: what went on the wire, how it
+  /// was framed, and what the receivers fenced. Reads 0 under -DSTAB_OBS=OFF.
+  std::string stats_digest() const {
+    std::ostringstream out;
+    for (NodeId id = 0; id < topo_.num_nodes(); ++id) {
+      if (!nodes[id]) continue;
+      StabilizerStats s = nodes[id]->stats();
+      out << "n" << id << " sent=" << s.messages_sent
+          << " tx=" << s.frames_transmitted << " rtx=" << s.retransmits_sent
+          << " enc=" << s.data_encodes << " sh=" << s.shared_sends
+          << " co=" << s.frames_coalesced << " dup=" << s.duplicates_dropped
+          << " gap=" << s.gaps_detected << " fen=" << s.fenced_frames
+          << " ahead=" << s.epoch_ahead_drops << ";";
+    }
+    return out.str();
+  }
+
   void schedule_stream_send(NodeId stream, Duration interval,
                             TimePoint until) {
     sim.schedule_after(interval, [this, stream, interval, until] {
@@ -330,6 +347,14 @@ struct FailoverCluster {
   std::vector<std::pair<std::string, std::string>> predicates_ = {
       {"all", "MIN($ALLWNODES)"}, {"one", "MAX($ALLWNODES-$MYWNODE)"}};
 };
+
+std::string fnv64_hex(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) h = (h ^ c) * 1099511628211ULL;
+  std::ostringstream os;
+  os << std::hex << h;
+  return os.str();
+}
 
 // --- the scripted kill_primary campaign --------------------------------------
 
@@ -395,17 +420,28 @@ TEST(Failover, KillPrimaryPromotesExactlyOneMirrorAndContinuesStream) {
 
 TEST(Failover, KillPrimaryCampaignIsDeterministicPerSeed) {
   std::string digests[2];
+  std::string stats[2];
   for (int run = 0; run < 2; ++run) {
     FailoverCluster c(4, /*seed=*/0xD15C);
     run_kill_primary_campaign(c, /*loss=*/0.02);
     c.check_failover_converged(0);
     digests[run] = c.digest();
+    stats[run] = c.stats_digest();
   }
   EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(stats[0], stats[1]);
 
   FailoverCluster other(4, /*seed=*/0xD15D);
   run_kill_primary_campaign(other, /*loss=*/0.02);
   EXPECT_NE(digests[0], other.digest());
+
+  // Golden: the FNV-1a 64 hash of the seed's digest. A refactor of the
+  // send path must keep it equal; a deliberate behaviour change re-records
+  // it and says why.
+  EXPECT_EQ(fnv64_hex(digests[0]), "9a00a2897b70d73d") << digests[0];
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(fnv64_hex(stats[0]), "95b39d671183b78c") << stats[0];
+#endif
 }
 
 // --- lossy sweep: seed-replayable property campaign --------------------------
