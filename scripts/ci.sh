@@ -2,7 +2,10 @@
 # Tier-1 CI: plain build + full ctest, a -Werror optimized build, bench smokes (data-plane fan-out,
 # the control-plane dispatch + MT producer curve, and the sharded scale-out
 # throughput floor), the perfbench self-test and one short correct run of
-# each perfbench workload, a chaos property sweep under fresh random seeds, then sanitizer passes: one configurable pass over
+# each perfbench workload, a chaos property sweep and a failover kill-campaign
+# sweep under fresh random seeds (every failover seed runs twice: plain, and
+# with send_window + DATABATCH coalescing, which the promoted primary's
+# adopted stream honours too), then sanitizer passes: one configurable pass over
 # the control-plane/core suites (the indexed dispatch / batched ack hot path,
 # its re-entrant callback surface, and the lock-free pipeline's MT suite)
 # plus ASan, TSan, and UBSan passes over the fault-handling suites
@@ -171,7 +174,8 @@ fi
 rm -f "$CHAOS_LOG"
 
 # Same workflow for the primary-failover kill campaigns: fresh random seeds
-# every run, replay any failure with STAB_FAILOVER_SEEDS=<seed>.
+# every run, each seed plain and windowed + coalesced, replay any failure
+# with STAB_FAILOVER_SEEDS=<seed>.
 NUM_FSEEDS="${STAB_CI_FAILOVER_SEEDS:-3}"
 FSEEDS=""
 for ((i = 0; i < NUM_FSEEDS; ++i)); do

@@ -93,9 +93,9 @@ void Stabilizer::Counters::flush_pending() {
 Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
     : options_(std::move(options)),
       transport_(transport),
+      own_(options_.self, options_.topology.num_nodes()),
       rx_(options_.topology.num_nodes()),
       excluded_(options_.topology.num_nodes(), false),
-      peer_acked_at_last_probe_(options_.topology.num_nodes(), kNoSeq),
       dirty_(options_.topology.num_nodes()),
       reported_(options_.topology.num_nodes()) {
   const size_t n = options_.topology.num_nodes();
@@ -156,7 +156,6 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
   }
   stall_last_acked_.assign(n, kNoSeq);
   stalled_.assign(n, false);
-  next_to_send_.assign(n, 0);
   peer_epoch_.assign(n, 0);
   resume_pending_.assign(n, false);
   stream_epoch_.assign(n, 0);
@@ -221,21 +220,29 @@ SeqNum Stabilizer::send(BytesView payload, uint64_t virtual_size) {
   // Deposed primaries must not extend the old sequence space: another node
   // now owns it and would issue the same numbers with different content.
   if (self_fenced_) return kFencedSeq;
-  SeqNum seq = sequencer_.next();
-  out_.push(seq, payload, virtual_size);
+  return issue(own_, payload, virtual_size);
+}
+
+SeqNum Stabilizer::issue(OutStream& s, BytesView payload,
+                         uint64_t virtual_size) {
+  SeqNum seq = s.sequencer.next();
+  s.out.push(seq, payload, virtual_size);
   STAB_OBS(++ctr_.pending_messages_sent);
   STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
-             options_.self, seq);
+             s.origin, seq);
   // Gate on sampled() first so 15-in-16 sends skip the clock read too.
   if (STAB_PROBE_SAMPLED(probe_, seq))
-    STAB_PROBE(probe_, on_send(options_.self, seq, env().now()));
+    STAB_PROBE(probe_, on_send(s.origin, seq, env().now()));
 
   if (coalescing_enabled())
     arm_flush();  // batch with the rest of this event-loop turn's sends
   else
-    pump_windows();
-  apply_origin_rule(options_.self, seq);
-  maybe_reclaim();  // single-node clusters reclaim immediately
+    pump_windows(s);
+  // Origin rule: this node, the stream's sequencing authority, has every
+  // property for the messages it sequenced. Peers credit it symmetrically in
+  // handle_data.
+  apply_origin_rule(s.origin, seq);
+  maybe_reclaim(s);  // a stream with no destination reclaims immediately
   return seq;
 }
 
@@ -285,17 +292,17 @@ void Stabilizer::arm_flush() {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
     flush_armed_ = false;
     flush_timer_ = kInvalidTimer;
-    if (!stopped_) pump_windows();
+    if (!stopped_) for_each_stream([this](OutStream& s) { pump_windows(s); });
   });
 }
 
-void Stabilizer::pump_windows() {
-  const AckTable& acks = engines_[options_.self]->acks();
-  const SeqNum last = sequencer_.last_assigned();
+void Stabilizer::pump_windows(OutStream& s) {
+  const AckTable& acks = engines_[s.origin]->acks();
+  const SeqNum last = s.sequencer.last_assigned();
   for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || excluded_[peer]) continue;
-    SeqNum& cursor = next_to_send_[peer];
-    if (cursor < out_.base()) cursor = out_.base();  // after recovery
+    if (!is_destination(s, peer)) continue;
+    SeqNum& cursor = s.next_to_send[peer];
+    if (cursor < s.out.base()) cursor = s.out.base();  // after recovery
     // Window allowance: at most send_window beyond the peer's receive ack
     // (resumes when this peer's acks advance).
     SeqNum limit = last;
@@ -305,7 +312,7 @@ void Stabilizer::pump_windows() {
                        acked + static_cast<SeqNum>(options_.send_window));
     }
     while (cursor <= limit) {
-      const auto* slot = out_.get(cursor);
+      const auto* slot = s.out.get(cursor);
       if (!slot) {
         ++cursor;
         continue;
@@ -317,36 +324,37 @@ void Stabilizer::pump_windows() {
         size_t count = 0;
         size_t bytes = 0;
         while (cursor <= limit && count < options_.coalesce_max_frames) {
-          const auto* s = out_.get(cursor);
-          if (!s || !coalescable(*s)) break;
-          size_t cost = 12 + s->payload.size() + s->virtual_size;
+          const auto* next = s.out.get(cursor);
+          if (!next || !coalescable(*next)) break;
+          size_t cost = 12 + next->payload.size() + next->virtual_size;
           if (count > 0 && bytes + cost > options_.coalesce_max_bytes) break;
           bytes += cost;
           ++count;
           ++cursor;
         }
         if (count >= 2)
-          transmit_batch(peer, first, count);
+          transmit_batch(s, peer, first, count);
         else
-          transmit(peer, *out_.get(first));
+          transmit(s, peer, *s.out.get(first));
         continue;
       }
-      transmit(peer, *slot);
+      transmit(s, peer, *slot);
       ++cursor;
     }
   }
   STAB_OBS(ctr_.flush_pending());
 }
 
-void Stabilizer::transmit(NodeId dst, const data::OutBuffer::Slot& slot) {
+void Stabilizer::transmit(OutStream& s, NodeId dst,
+                          const data::OutBuffer::Slot& slot) {
   if (options_.data_path == StabilizerOptions::DataPath::kShared) {
     // Encode-once: the first transmission of this message (to any peer, or
     // as a retransmit) fills the slot's frame cache; everything after reuses
     // the refcounted buffer.
     if (!slot.encoded) {
       slot.encoded = std::make_shared<const Bytes>(
-          data::encode_data(options_.self, slot.seq, slot.payload,
-                            slot.virtual_size, stream_epoch_[options_.self]));
+          data::encode_data(s.origin, slot.seq, slot.payload,
+                            slot.virtual_size, stream_epoch_[s.origin]));
       STAB_OBS(++ctr_.pending_data_encodes);
     }
     uint64_t wire = slot.encoded->size() + slot.virtual_size;
@@ -354,8 +362,8 @@ void Stabilizer::transmit(NodeId dst, const data::OutBuffer::Slot& slot) {
     STAB_OBS(++ctr_.pending_shared_sends);
   } else {
     Bytes encoded =
-        data::encode_data(options_.self, slot.seq, slot.payload,
-                          slot.virtual_size, stream_epoch_[options_.self]);
+        data::encode_data(s.origin, slot.seq, slot.payload, slot.virtual_size,
+                          stream_epoch_[s.origin]);
     STAB_OBS({
       ++ctr_.pending_data_encodes;
       ctr_.pending_fanout_bytes_copied += encoded.size();
@@ -365,7 +373,7 @@ void Stabilizer::transmit(NodeId dst, const data::OutBuffer::Slot& slot) {
   }
   STAB_OBS(++ctr_.pending_frames_transmitted);
   STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kTransmit, options_.self,
-             options_.self, slot.seq, dst);
+             s.origin, slot.seq, dst);
 }
 
 bool Stabilizer::coalescable(const data::OutBuffer::Slot& slot) const {
@@ -373,30 +381,31 @@ bool Stabilizer::coalescable(const data::OutBuffer::Slot& slot) const {
          options_.coalesce_max_bytes;
 }
 
-void Stabilizer::transmit_batch(NodeId dst, SeqNum first, size_t count) {
-  if (!(batch_first_ == first && batch_count_ == count && batch_frame_)) {
+void Stabilizer::transmit_batch(OutStream& s, NodeId dst, SeqNum first,
+                                size_t count) {
+  if (!(s.batch_first == first && s.batch_count == count && s.batch_frame)) {
     data::DataBatchFrame& batch = tx_batch_;  // entries keep their capacity
-    batch.origin = options_.self;
-    batch.primary_epoch = stream_epoch_[options_.self];
+    batch.origin = s.origin;
+    batch.primary_epoch = stream_epoch_[s.origin];
     batch.first_seq = first;
     batch.entries.clear();
     uint64_t virtual_total = 0;
     for (size_t i = 0; i < count; ++i) {
-      const auto* slot = out_.get(first + static_cast<SeqNum>(i));
+      const auto* slot = s.out.get(first + static_cast<SeqNum>(i));
       batch.entries.push_back(
           data::DataBatchFrame::Entry{slot->payload, slot->virtual_size});
       virtual_total += slot->virtual_size;
     }
-    batch_frame_ = std::make_shared<const Bytes>(data::encode(batch));
-    batch_first_ = first;
-    batch_count_ = count;
-    batch_wire_ = batch_frame_->size() + virtual_total;
+    s.batch_frame = std::make_shared<const Bytes>(data::encode(batch));
+    s.batch_first = first;
+    s.batch_count = count;
+    s.batch_wire = s.batch_frame->size() + virtual_total;
     STAB_OBS({
       ++ctr_.pending_data_encodes;
       ctr_.batch_frames.record(count);
     });
   }
-  transport_.send_shared(dst, batch_frame_, batch_wire_);
+  transport_.send_shared(dst, s.batch_frame, s.batch_wire);
   STAB_OBS({
     ++ctr_.pending_shared_sends;
     ctr_.pending_frames_transmitted += count;
@@ -406,8 +415,8 @@ void Stabilizer::transmit_batch(NodeId dst, SeqNum first, size_t count) {
   if (STAB_TRACE_WANTS(tracer_, obs::SpanEvent::kTransmit)) {
     TimePoint now = env().now();
     for (size_t i = 0; i < count; ++i)
-      tracer_->record(now, obs::SpanEvent::kTransmit, options_.self,
-                      options_.self, first + static_cast<SeqNum>(i), dst);
+      tracer_->record(now, obs::SpanEvent::kTransmit, options_.self, s.origin,
+                      first + static_cast<SeqNum>(i), dst);
   }
 #endif
 }
@@ -667,13 +676,9 @@ void Stabilizer::drain_pipeline() {
           on_frame(ev.src, BytesView(ev.frame), ev.wire_size);
         });
 
-    if (cells > 0) {
-      // handle_ack_batch does this for ring-routed ack frames; cell-routed
-      // acks need the same follow-up (acks free window space and may let
-      // the send buffer reclaim).
-      if (options_.send_window > 0) pump_windows();
-      maybe_reclaim();
-    }
+    // handle_ack_batch does this for ring-routed ack frames; cell-routed
+    // acks need the same follow-up.
+    if (cells > 0) after_acks();
     pipeline_->record_drain(cells + frames);
     // Re-check: producers kept appending while we applied, and a re-entrant
     // drain attempt from a callback no-op'd into this loop.
@@ -774,8 +779,7 @@ void Stabilizer::handle_ack_batch(const data::AckBatchFrame& frame) {
   STAB_OBS(if (applied) ctr_.ack_entries_applied.inc(applied));
   (void)applied;
   apply_staged(base);
-  if (options_.send_window > 0) pump_windows();  // acks free window space
-  maybe_reclaim();
+  after_acks();
 }
 
 void Stabilizer::handle_report_batch(NodeId src,
@@ -817,8 +821,7 @@ void Stabilizer::handle_report_batch(NodeId src,
   (void)applied;
   apply_staged(base);
   if (absorbed_any) schedule_deferred_timer();
-  if (options_.send_window > 0) pump_windows();  // reports free window space
-  maybe_reclaim();
+  after_acks();
 }
 
 // --- crash-restart rejoin (RESUME handshake) -----------------------------------
@@ -855,9 +858,10 @@ void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
     // frames it lost with its volatile state retransmit from the send
     // buffer.
     SeqNum resume_from =
-        std::max<SeqNum>(frame.receive_through + 1, out_.base());
-    if (next_to_send_[src] > resume_from) next_to_send_[src] = resume_from;
-    peer_acked_at_last_probe_[src] = kNoSeq;
+        std::max<SeqNum>(frame.receive_through + 1, own_.out.base());
+    SeqNum& cursor = own_.next_to_send[src];
+    if (cursor > resume_from) cursor = resume_from;
+    own_.acked_at_probe[src] = kNoSeq;
 
     // Re-issue every cumulative stability report so the peer rebuilds its
     // ack tables immediately instead of waiting for the heartbeat.
@@ -873,7 +877,7 @@ void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
   // re-sending until a reply gets through); never answer replies, so a
   // concurrent restart of both ends converges instead of ping-ponging.
   if (!frame.reply && !excluded_[src]) send_resume(src, /*reply=*/true);
-  pump_windows();
+  pump_windows(own_);
 }
 
 void Stabilizer::mark_peer_recovered(NodeId peer) {
@@ -884,16 +888,22 @@ void Stabilizer::mark_peer_recovered(NodeId peer) {
   if (recovered_handler_) recovered_handler_(peer);
 }
 
-void Stabilizer::maybe_reclaim() {
-  for (auto& [origin, adopted] : adopted_) reclaim_adopted(origin, adopted);
-  if (out_.empty()) return;
-  const AckTable& acks = engines_[options_.self]->acks();
-  SeqNum floor = out_.last();
+void Stabilizer::after_acks() {
+  for_each_stream([this](OutStream& s) {
+    if (options_.send_window > 0) pump_windows(s);
+    maybe_reclaim(s);
+  });
+}
+
+void Stabilizer::maybe_reclaim(OutStream& s) {
+  if (s.out.empty()) return;
+  const AckTable& acks = engines_[s.origin]->acks();
+  SeqNum floor = s.out.last();
   for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || excluded_[peer]) continue;
+    if (!is_destination(s, peer)) continue;
     floor = std::min(floor, acks.get(StabilityTypeRegistry::kReceived, peer));
   }
-  if (floor >= out_.base()) out_.reclaim_through(floor);
+  if (floor >= s.out.base()) s.out.reclaim_through(floor);
 }
 
 // --- control-plane output ---------------------------------------------------------
@@ -1174,34 +1184,35 @@ void Stabilizer::retransmit_check() {
     if (resume_pending_[peer] && peer != options_.self && !excluded_[peer])
       send_resume(peer);
 
-  retransmit_adopted_check();
+  for_each_stream([this](OutStream& s) { retransmit_stream(s); });
+  STAB_OBS(ctr_.flush_pending());
+}
 
-  if (out_.empty()) return;
-  const AckTable& acks = engines_[options_.self]->acks();
+void Stabilizer::retransmit_stream(OutStream& s) {
+  if (s.out.empty()) return;
+  const AckTable& acks = engines_[s.origin]->acks();
   for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || excluded_[peer]) continue;
+    if (!is_destination(s, peer)) continue;
     SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-    if (acked >= out_.last()) {
-      peer_acked_at_last_probe_[peer] = acked;
+    SeqNum& mark = s.acked_at_probe[peer];
+    // Caught up, or progress since the last probe (give the pipe time
+    // before resending): no probe.
+    if (acked >= s.out.last() || acked > mark) {
+      mark = acked;
       continue;
     }
-    if (acked > peer_acked_at_last_probe_[peer]) {
-      // Progress since the last probe: give the pipe time before resending.
-      peer_acked_at_last_probe_[peer] = acked;
-      continue;
-    }
-    SeqNum from = std::max(acked + 1, out_.base());
+    SeqNum from = std::max(acked + 1, s.out.base());
     SeqNum to = std::min<SeqNum>(
-        out_.last(), from + static_cast<SeqNum>(options_.retransmit_window) - 1);
-    for (SeqNum s = from; s <= to; ++s) {
-      if (const auto* slot = out_.get(s)) {
-        transmit(peer, *slot);
+        s.out.last(),
+        from + static_cast<SeqNum>(options_.retransmit_window) - 1);
+    for (SeqNum q = from; q <= to; ++q) {
+      if (const auto* slot = s.out.get(q)) {
+        transmit(s, peer, *slot);
         STAB_OBS(ctr_.retransmits_sent.inc());
       }
     }
-    peer_acked_at_last_probe_[peer] = acked;
+    mark = acked;
   }
-  STAB_OBS(ctr_.flush_pending());
 }
 
 // --- peer stall detection (§III-E) --------------------------------------------
@@ -1227,7 +1238,7 @@ void Stabilizer::schedule_stall_timer() {
 
 void Stabilizer::stall_check() {
   const AckTable& acks = engines_[options_.self]->acks();
-  SeqNum last = sequencer_.last_assigned();
+  SeqNum last = own_.sequencer.last_assigned();
   for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
     if (peer == options_.self || excluded_[peer]) continue;
     SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
@@ -1270,15 +1281,16 @@ Bytes Stabilizer::snapshot_control_state() const {
     w.u32(stream_epoch_[i]);
     w.u32(stream_primary_[i]);
   }
-  w.i64(sequencer_.last_assigned());
+  w.i64(own_.sequencer.last_assigned());
   // Unreclaimed send-buffer slots: messages some peer has not yet
   // acknowledged. Persisting them lets a reborn instance serve the
   // retransmissions that heal peers' gaps (v1 snapshots dropped them,
   // leaving permanent holes at any peer that was behind at crash time).
-  w.i64(out_.base());
-  w.u32(static_cast<uint32_t>(out_.size()));
-  for (size_t i = 0; i < out_.size(); ++i) {
-    const auto* slot = out_.get(out_.base() + static_cast<SeqNum>(i));
+  const data::OutBuffer& out = own_.out;
+  w.i64(out.base());
+  w.u32(static_cast<uint32_t>(out.size()));
+  for (size_t i = 0; i < out.size(); ++i) {
+    const auto* slot = out.get(out.base() + static_cast<SeqNum>(i));
     w.blob(slot->payload);
     w.u64(slot->virtual_size);
   }
@@ -1338,7 +1350,8 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
         fence_self();
     }
     SeqNum last_assigned = r.i64();
-    sequencer_.fast_forward(last_assigned);
+    own_.sequencer.fast_forward(last_assigned);
+    data::OutBuffer& out = own_.out;
     if (version >= 2) {
       SeqNum snap_base = r.i64();
       uint32_t count = r.u32();
@@ -1346,17 +1359,17 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
       // retransmissions for peers that were behind at crash time. Skipped
       // when restoring a stale snapshot into an instance that has already
       // advanced past it (monotonic-merge semantics: live state wins).
-      bool adopt = out_.empty() && out_.base() <= snap_base;
-      if (adopt) out_.reset_base(snap_base);
+      bool adopt = out.empty() && out.base() <= snap_base;
+      if (adopt) out.reset_base(snap_base);
       for (uint32_t i = 0; i < count; ++i) {
         BytesView payload = r.blob_view();
         uint64_t virtual_size = r.u64();
         if (adopt)
-          out_.push(snap_base + static_cast<SeqNum>(i), payload, virtual_size);
+          out.push(snap_base + static_cast<SeqNum>(i), payload, virtual_size);
       }
     } else {
-      out_.reset_base(last_assigned + 1);  // v1 kept no slots: pre-crash
-                                           // messages are unretransmittable
+      out.reset_base(last_assigned + 1);  // v1 kept no slots: pre-crash
+                                          // messages are unretransmittable
     }
 
     uint32_t ntypes = r.u32();
@@ -1395,7 +1408,7 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
       // Start each peer's window past what it acknowledged before the
       // crash; its RESUME-triggered acks rewind us further if needed.
       SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-      next_to_send_[peer] = std::max<SeqNum>(out_.base(), acked + 1);
+      own_.next_to_send[peer] = std::max<SeqNum>(out.base(), acked + 1);
       if (excluded_[peer]) continue;
       resume_pending_[peer] = true;
       send_resume(peer);
@@ -1427,8 +1440,8 @@ Status Stabilizer::register_predicate(const std::string& key,
   }
   // New types may have been auto-registered; backfill the origin rule for
   // everything already sent on the local stream.
-  if (sequencer_.last_assigned() >= 0)
-    apply_origin_rule(options_.self, sequencer_.last_assigned());
+  if (own_.sequencer.last_assigned() >= 0)
+    apply_origin_rule(options_.self, own_.sequencer.last_assigned());
   return Status::ok();
 }
 
@@ -1439,8 +1452,8 @@ Status Stabilizer::change_predicate(const std::string& key,
     Status st = engine->change_predicate(key, source);
     if (!st.is_ok()) return st;
   }
-  if (sequencer_.last_assigned() >= 0)
-    apply_origin_rule(options_.self, sequencer_.last_assigned());
+  if (own_.sequencer.last_assigned() >= 0)
+    apply_origin_rule(options_.self, own_.sequencer.last_assigned());
   return Status::ok();
 }
 
@@ -1612,7 +1625,8 @@ void Stabilizer::set_peer_excluded(NodeId node, bool excluded) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   if (node >= excluded_.size() || node == options_.self) return;
   excluded_[node] = excluded;
-  if (excluded) maybe_reclaim();  // the dead peer no longer pins the buffer
+  // The dead peer no longer pins the send buffers.
+  if (excluded) for_each_stream([this](OutStream& s) { maybe_reclaim(s); });
 }
 
 bool Stabilizer::peer_excluded(NodeId node) const {
@@ -1673,11 +1687,11 @@ Status Stabilizer::adopt_stream(NodeId origin, SeqNum start_seq,
   node_fenced_[origin].store(true, std::memory_order_relaxed);
 
   adopted_.erase(origin);
-  AdoptedStream& a = adopted_[origin];
-  a.epoch = epoch;
+  OutStream& a =
+      adopted_.try_emplace(origin, origin, options_.topology.num_nodes())
+          .first->second;
   a.sequencer.fast_forward(start_seq - 1);
   a.out.reset_base(start_seq);
-  a.acked_at_probe.assign(options_.topology.num_nodes(), kNoSeq);
 
   // Position our delivery cursor at the takeover boundary: the reconciled
   // start may exceed our own delivered prefix (another peer saw more); the
@@ -1691,21 +1705,7 @@ SeqNum Stabilizer::send_as(NodeId origin, BytesView payload,
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   auto it = adopted_.find(origin);
   if (it == adopted_.end()) return kFencedSeq;
-  AdoptedStream& a = it->second;
-  SeqNum seq = a.sequencer.next();
-  a.out.push(seq, payload, virtual_size);
-  STAB_OBS(++ctr_.pending_messages_sent);
-  STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
-             origin, seq);
-  if (STAB_PROBE_SAMPLED(probe_, seq))
-    STAB_PROBE(probe_, on_send(origin, seq, env().now()));
-  transmit_adopted(origin, a, *a.out.get(seq));
-  // Origin rule, failover flavor: the sequencing authority (us) has every
-  // property for the messages it sequenced — credited on our cell of the
-  // adopted stream's engine. Peers credit us symmetrically in handle_data.
-  apply_origin_rule(origin, seq);
-  reclaim_adopted(origin, a);  // single-peer topologies reclaim immediately
-  return seq;
+  return issue(it->second, payload, virtual_size);
 }
 
 Status Stabilizer::observe_takeover(NodeId origin, NodeId new_primary,
@@ -1798,81 +1798,11 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
   }
 }
 
-void Stabilizer::transmit_adopted(NodeId origin, AdoptedStream& a,
-                                  const data::OutBuffer::Slot& slot) {
-  // Encode-once, refcounted fan-out — same shape as transmit(), but the
-  // frame's origin field names the adopted stream and carries its epoch, and
-  // the deposed origin node is never a destination.
-  if (!slot.encoded) {
-    slot.encoded = std::make_shared<const Bytes>(data::encode_data(
-        origin, slot.seq, slot.payload, slot.virtual_size, a.epoch));
-    STAB_OBS(++ctr_.pending_data_encodes);
-  }
-  uint64_t wire = slot.encoded->size() + slot.virtual_size;
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || peer == origin || excluded_[peer]) continue;
-    transport_.send_shared(peer, slot.encoded, wire);
-    STAB_OBS({
-      ++ctr_.pending_shared_sends;
-      ++ctr_.pending_frames_transmitted;
-    });
-    STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kTransmit, options_.self,
-               origin, slot.seq, peer);
-  }
-}
-
-void Stabilizer::retransmit_adopted_check() {
-  for (auto& [origin, a] : adopted_) {
-    if (a.out.empty()) continue;
-    const AckTable& acks = engines_[origin]->acks();
-    for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-      if (peer == options_.self || peer == origin || excluded_[peer]) continue;
-      SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-      if (acked >= a.out.last() || acked > a.acked_at_probe[peer]) {
-        a.acked_at_probe[peer] = acked;  // caught up / progressing: no probe
-        continue;
-      }
-      SeqNum from = std::max(acked + 1, a.out.base());
-      SeqNum to = std::min<SeqNum>(
-          a.out.last(),
-          from + static_cast<SeqNum>(options_.retransmit_window) - 1);
-      for (SeqNum s = from; s <= to; ++s) {
-        const auto* slot = a.out.get(s);
-        if (!slot) continue;
-        if (!slot->encoded) {
-          slot->encoded = std::make_shared<const Bytes>(data::encode_data(
-              origin, slot->seq, slot->payload, slot->virtual_size, a.epoch));
-          STAB_OBS(++ctr_.pending_data_encodes);
-        }
-        transport_.send_shared(peer, slot->encoded,
-                               slot->encoded->size() + slot->virtual_size);
-        STAB_OBS({
-          ++ctr_.pending_shared_sends;
-          ++ctr_.pending_frames_transmitted;
-          ctr_.retransmits_sent.inc();
-        });
-      }
-      a.acked_at_probe[peer] = acked;
-    }
-  }
-}
-
-void Stabilizer::reclaim_adopted(NodeId origin, AdoptedStream& a) {
-  if (a.out.empty()) return;
-  const AckTable& acks = engines_[origin]->acks();
-  SeqNum floor = a.out.last();
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || peer == origin || excluded_[peer]) continue;
-    floor = std::min(floor, acks.get(StabilityTypeRegistry::kReceived, peer));
-  }
-  if (floor >= a.out.base()) a.out.reclaim_through(floor);
-}
-
 // --- introspection ------------------------------------------------------------------
 
 SeqNum Stabilizer::last_sent() const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return sequencer_.last_assigned();
+  return own_.sequencer.last_assigned();
 }
 
 StabilizerStats Stabilizer::stats() const {

@@ -490,7 +490,7 @@ class Stabilizer {
   /// Snapshot of the counters, with the control-plane eval counters
   /// aggregated across every origin engine at call time.
   StabilizerStats stats() const;
-  uint64_t send_buffer_bytes() const { return out_.buffered_bytes(); }
+  uint64_t send_buffer_bytes() const { return own_.out.buffered_bytes(); }
   /// 0 for a fresh instance; a restore bumps it to snapshot epoch + 1.
   uint64_t session_epoch() const;
   /// Highest session epoch announced by `peer` via RESUME (0 = never).
@@ -545,15 +545,59 @@ class Stabilizer {
   void apply_origin_rule(NodeId origin, SeqNum seq);
   /// Applies and pops the ack_scratch_ frame that started at `base`.
   void apply_staged(size_t base);
-  void maybe_reclaim();
-  void transmit(NodeId dst, const data::OutBuffer::Slot& slot);
+
+  // --- outbound streams (DESIGN.md §6.3) --------------------------------------
+  /// One stream this node issues: its own, or one it adopted as the elected
+  /// successor of a deposed primary. Frames carry `origin` and the epoch this
+  /// node learned for it (stream_epoch_[origin]).
+  struct OutStream {
+    OutStream(NodeId stream_origin, size_t num_nodes)
+        : origin(stream_origin),
+          next_to_send(num_nodes, 0),
+          acked_at_probe(num_nodes, kNoSeq) {}
+    NodeId origin;
+    data::Sequencer sequencer;
+    data::OutBuffer out;
+    std::vector<SeqNum> next_to_send;    // per-peer window cursor
+    std::vector<SeqNum> acked_at_probe;  // per-peer go-back-N probe mark
+    // Last encoded DATABATCH, keyed by (first_seq, count). Sequence numbers
+    // are never reused within a stream and slots are immutable until
+    // reclaim, so a hit is always valid — a broadcast encodes each batch
+    // once and every peer's flush reuses it.
+    SeqNum batch_first = kNoSeq;
+    size_t batch_count = 0;
+    std::shared_ptr<const Bytes> batch_frame;
+    uint64_t batch_wire = 0;
+  };
+  /// Sequences one message on `s`, buffers it, and flushes it (now, or at
+  /// the end of the turn when coalescing). send() and send_as() share it.
+  SeqNum issue(OutStream& s, BytesView payload, uint64_t virtual_size);
+  /// Every peer except self, the excluded peers, and the stream's origin
+  /// (which differs from self only on an adopted stream: the deposed node).
+  bool is_destination(const OutStream& s, NodeId peer) const {
+    return peer != options_.self && peer != s.origin && !excluded_[peer];
+  }
+  /// Runs fn on every stream this node issues: adopted streams in origin
+  /// order, then its own.
+  template <class Fn>
+  void for_each_stream(Fn&& fn) {
+    for (auto& [origin, s] : adopted_) fn(s);
+    fn(own_);
+  }
+  /// Acks arrived: window space may have opened and slots may be reclaimable.
+  void after_acks();
+  void maybe_reclaim(OutStream& s);
+  void transmit(OutStream& s, NodeId dst, const data::OutBuffer::Slot& slot);
   /// Transmits slots [first, first + count) to `dst` as one DATABATCH frame.
-  void transmit_batch(NodeId dst, SeqNum first, size_t count);
+  void transmit_batch(OutStream& s, NodeId dst, SeqNum first, size_t count);
+  /// Go-back-N: re-sends the unacknowledged prefix to every peer whose
+  /// receive ack made no progress since the last probe.
+  void retransmit_stream(OutStream& s);
   bool coalescing_enabled() const { return options_.coalesce_max_frames > 1; }
   /// True when the slot is small enough to ride inside a DATABATCH.
   bool coalescable(const data::OutBuffer::Slot& slot) const;
   /// Transmits buffered messages to every peer up to its window allowance.
-  void pump_windows();
+  void pump_windows(OutStream& s);
   /// Coalescing defers send()'s flush to the end of the event-loop turn so a
   /// burst of sends batches; this arms that (single) deferred pump.
   void arm_flush();
@@ -575,21 +619,6 @@ class Stabilizer {
   void apply_takeover_cursor(NodeId origin, SeqNum start_seq,
                              bool allow_rollback = true);
 
-  struct AdoptedStream {
-    PrimaryEpoch epoch = 0;
-    data::Sequencer sequencer;
-    data::OutBuffer out;
-    std::vector<SeqNum> acked_at_probe;  // per peer; go-back-N probe progress
-  };
-  /// Eager fan-out of one adopted-stream slot (encode-once; no coalescing —
-  /// takeover traffic is rare enough that the simple path wins).
-  void transmit_adopted(NodeId origin, AdoptedStream& a,
-                        const data::OutBuffer::Slot& slot);
-  /// Go-back-N probe + reclamation for every adopted stream, driven from the
-  /// same retransmit timer as the own-stream probe.
-  void retransmit_adopted_check();
-  void reclaim_adopted(NodeId origin, AdoptedStream& a);
-
   // --- pipelined control plane (DESIGN.md §4f) -------------------------------
   /// Receive-thread entry in kPipelined mode. Lock-free: folds plain ack
   /// entries into the pipeline's cells, copies everything else into the
@@ -610,14 +639,11 @@ class Stabilizer {
   StabilityTypeRegistry types_;
   std::vector<std::unique_ptr<FrontierEngine>> engines_;  // per origin
   AckScratch ack_scratch_;  // staged on_ack_batch input, used as a stack
-  data::Sequencer sequencer_;
-  data::OutBuffer out_;
+  OutStream own_;           // this node's own stream
   data::ReceiveTracker rx_;
   DeliveryHandler delivery_;
   RawHandler raw_handler_;
   std::vector<bool> excluded_;
-  std::vector<SeqNum> peer_acked_at_last_probe_;  // retransmission progress
-  std::vector<SeqNum> next_to_send_;              // per-peer window cursor
 
   struct DirtyAck {
     SeqNum seq = kNoSeq;
@@ -642,14 +668,6 @@ class Stabilizer {
   bool agg_self_ = false;
   NodeId my_aggregator_ = kInvalidNode;
   std::vector<bool> same_az_;
-  // Last encoded DATABATCH, keyed by (first_seq, count). Sequence numbers
-  // are never reused and slots are immutable until reclaim, so a hit is
-  // always valid — a broadcast encodes each batch once and every peer's
-  // flush reuses it.
-  SeqNum batch_first_ = kNoSeq;
-  size_t batch_count_ = 0;
-  std::shared_ptr<const Bytes> batch_frame_;
-  uint64_t batch_wire_ = 0;
   // DATABATCH entry storage, reused frame after frame: tx_batch_ is the
   // frame transmit_batch encodes, rx_entries_ the entries on_frame decodes.
   data::DataBatchFrame tx_batch_;
@@ -677,7 +695,7 @@ class Stabilizer {
   // construction). adopted_: streams this node won and now sequences.
   std::vector<PrimaryEpoch> stream_epoch_;
   std::vector<NodeId> stream_primary_;
-  std::map<NodeId, AdoptedStream> adopted_;
+  std::map<NodeId, OutStream> adopted_;
   bool self_fenced_ = false;
   // Lock-free mirror of "node x was deposed from its own stream" for the
   // pipelined ingest path (which must not take mutex_): a fenced node's

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/bytes.hpp"
 #include "common/logging.hpp"
@@ -62,6 +63,11 @@ sockaddr_in make_addr(const TcpPeerAddr& addr) {
   std::string host = addr.host == "localhost" ? "127.0.0.1" : addr.host;
   inet_pton(AF_INET, host.c_str(), &sa.sin_addr);
   return sa;
+}
+
+void check_body_size(size_t size) {
+  if (size > TcpTransport::kMaxFrameBody)
+    throw std::invalid_argument("TcpTransport: frame body exceeds 64 MiB");
 }
 
 }  // namespace
@@ -155,6 +161,7 @@ void TcpTransport::set_receive_handler(ReceiveHandler handler) {
 }
 
 void TcpTransport::send(NodeId dst, Bytes frame, uint64_t /*wire_size*/) {
+  check_body_size(frame.size());
   if (dst == self_ || dst >= peers_.size()) return;
   OutFrame out = make_frame(kKindData, self_, frame.size());
   out.owned = std::move(frame);
@@ -163,6 +170,7 @@ void TcpTransport::send(NodeId dst, Bytes frame, uint64_t /*wire_size*/) {
 
 void TcpTransport::send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
                                uint64_t /*wire_size*/) {
+  check_body_size(frame->size());
   if (dst == self_ || dst >= peers_.size()) return;
   // Queue the prefix plus a reference on the caller's buffer; the socket
   // write scatter-gathers both with one writev. A broadcast's N sends share
@@ -415,10 +423,13 @@ void TcpTransport::handle_hello(int fd) {
   std::lock_guard<std::mutex> lock(mutex_);
   Conn& c = conns_[src];
   if (c.fd >= 0) {
-    // Simultaneous connect race: deterministic winner — keep the
-    // connection dialed by the smaller node id. We are the acceptor, so
-    // the dialer is `src`; keep this one iff src < self_.
-    if (src < self_) {
+    // Nothing authenticates a HELLO, so it may only replace a connection
+    // that has never received a byte: a redial from the same dialer (the
+    // smaller id) racing its first attempt. A live connection stays, and
+    // the newcomer is closed; should the peer really have restarted, the
+    // old connection fails on its next read or write and the redial after
+    // the backoff lands.
+    if (src < self_ && !c.received) {
       close_conn(src, "replaced by accepted conn");
     } else {
       close(fd);
@@ -460,6 +471,7 @@ void TcpTransport::handle_readable(NodeId peer) {
   for (;;) {
     ssize_t n = recv(c.fd, buf, sizeof buf, 0);
     if (n > 0) {
+      c.received = true;
       c.inbuf.insert(c.inbuf.end(), buf, buf + n);
     } else if (n == 0) {
       close_conn(peer, "peer closed");
@@ -483,9 +495,9 @@ void TcpTransport::handle_readable(NodeId peer) {
     uint32_t body_len;
     std::memcpy(&body_len, c.inbuf.data() + pos, 4);
     // body_len covers kind, src and the payload, so it is at least 8; with
-    // that the header reads below cannot run short. The frame length is
-    // computed in size_t so a body_len near 2^32 cannot wrap.
-    if (body_len < 8) {
+    // that the header reads below cannot run short. A prefix past the body
+    // bound closes the connection before any more of its body is buffered.
+    if (body_len < 8 || body_len - 8 > kMaxFrameBody) {
       malformed = true;
       break;
     }

@@ -17,8 +17,10 @@
 //
 // Connection policy: the node with the smaller id dials; the larger id
 // accepts. Every connection starts with a HELLO frame carrying the dialer's
-// node id. Frames queued while a peer is down are buffered (up to a
-// configurable byte bound, oldest dropped first) and flushed on reconnect.
+// node id. A HELLO never displaces a connection that has received a byte:
+// the new socket is closed instead. Frames queued while a peer is down are
+// buffered (up to a configurable byte bound, oldest dropped first) and
+// flushed on reconnect.
 // Reconnect attempts back off exponentially with jitter up to a cap, so a
 // long partition costs neither unbounded memory nor a SYN storm; anything
 // dropped is recovered by the data plane's go-back-N retransmission.
@@ -67,6 +69,18 @@ struct TcpTransportOptions {
 
 class TcpTransport final : public Transport {
  public:
+  /// Largest frame body (the bytes after the 12-byte prefix) a transport
+  /// sends or accepts. Library frames stay far below it: send_large splits
+  /// writes into split_size messages (8 KiB by default), a DATABATCH holds
+  /// at most coalesce_max_bytes, control frames take a few KiB per peer, and
+  /// a Paxos PROMISE carries one small record per failover election. Only an
+  /// application value past 64 MiB (a Stabilizer::send payload, a quorum or
+  /// Paxos value) reaches it. send()/send_shared() throw
+  /// std::invalid_argument past it, and a receiver closes the connection as
+  /// soon as a prefix declares more, so one peer cannot make it buffer up to
+  /// 4 GiB.
+  static constexpr size_t kMaxFrameBody = size_t{64} << 20;
+
   /// `peers[i]` is node i's listen address; `peers[self]` is where this
   /// transport listens. Starts the IO thread immediately.
   TcpTransport(NodeId self, std::vector<TcpPeerAddr> peers,
@@ -128,6 +142,7 @@ class TcpTransport final : public Transport {
     int fd = -1;
     bool connecting = false;   // non-blocking connect in progress
     bool hello_sent = false;
+    bool received = false;     // a byte was read (handle_readable)
     uint32_t events = 0;       // epoll mask registered for fd
     Bytes inbuf;
     RingDeque<OutFrame> outq;

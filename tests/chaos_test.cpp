@@ -555,6 +555,7 @@ TEST(ChaosCampaign, CoalescedCampaignHoldsInvariantsAcrossDispatchModes) {
 // behaviour change re-records them and says why. The stats half reads 0
 // under -DSTAB_OBS=OFF, hence the guard.
 
+#if STAB_OBS_ENABLED
 std::string fnv64_hex(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
   for (unsigned char c : s) h = (h ^ c) * 1099511628211ULL;
@@ -563,7 +564,6 @@ std::string fnv64_hex(const std::string& s) {
   return os.str();
 }
 
-#if STAB_OBS_ENABLED
 TEST(ChaosGolden, ScriptedCampaignDigestMatchesRecordedGolden) {
   auto c = run_scripted(0xC0FFEE, DispatchMode::kIndexed);
   EXPECT_EQ(fnv64_hex(c->digest()), "cc2fc6797f9cce45") << c->digest();

@@ -63,6 +63,16 @@ StabilizerOptions failover_base_options() {
   return o;
 }
 
+/// The same campaign with per-peer flow control and DATABATCH coalescing on:
+/// a promoted primary issues its adopted stream through the same send path
+/// as its own, so both options apply after promotion.
+StabilizerOptions windowed_options() {
+  StabilizerOptions o = failover_base_options();
+  o.send_window = 8;
+  o.coalesce_max_frames = 16;
+  return o;
+}
+
 FailoverOptions guard_options() {
   FailoverOptions fo;
   fo.stream = 0;
@@ -359,8 +369,10 @@ std::string fnv64_hex(const std::string& s) {
 // --- the scripted kill_primary campaign --------------------------------------
 
 /// Kill the primary of stream 0 mid-load at t=2s; a mirror must detect,
-/// win the ballot, reconcile, and continue the stream under epoch 1.
-void run_kill_primary_campaign(FailoverCluster& c, double loss = 0.0) {
+/// win the ballot, reconcile, and continue the stream under epoch 1. With
+/// `own_traffic` off the mirrors send nothing on their own streams.
+void run_kill_primary_campaign(FailoverCluster& c, double loss = 0.0,
+                               bool own_traffic = true) {
   const NodeId primary = 0;
   ChaosScript script;
   if (loss > 0)
@@ -370,8 +382,9 @@ void run_kill_primary_campaign(FailoverCluster& c, double loss = 0.0) {
   c.chaos->arm(script);
 
   c.start_stream_traffic(primary, millis(10), seconds(8));
-  for (NodeId id = 1; id < c.num_nodes(); ++id)
-    c.start_own_traffic(id, millis(50), seconds(8));
+  if (own_traffic)
+    for (NodeId id = 1; id < c.num_nodes(); ++id)
+      c.start_own_traffic(id, millis(50), seconds(8));
 
   // Park waiters on the guarded stream before the kill, at targets the
   // post-takeover traffic will cover once the §III-E adjust lands.
@@ -446,9 +459,10 @@ TEST(Failover, KillPrimaryCampaignIsDeterministicPerSeed) {
 
 // --- lossy sweep: seed-replayable property campaign --------------------------
 
-void run_lossy_campaign(uint64_t seed) {
-  SCOPED_TRACE("failover seed " + std::to_string(seed));
-  FailoverCluster c(4, seed);
+void run_lossy_campaign(uint64_t seed, StabilizerOptions base,
+                        const std::string& variant) {
+  SCOPED_TRACE("failover seed " + std::to_string(seed) + " " + variant);
+  FailoverCluster c(4, seed, std::move(base));
   run_kill_primary_campaign(c, /*loss=*/0.05);
   c.check_failover_converged(0);
   c.check_waits_resolved();
@@ -464,7 +478,8 @@ TEST(FailoverProperty, LossyKillCampaignsHoldInvariants) {
       if (!tok.empty()) seeds.push_back(std::stoull(tok));
   }
   for (uint64_t seed : seeds) {
-    run_lossy_campaign(seed);
+    run_lossy_campaign(seed, failover_base_options(), "plain");
+    run_lossy_campaign(seed, windowed_options(), "windowed+coalesced");
     if (::testing::Test::HasFailure()) {
       // The marker scripts/ci.sh greps for; replay with
       //   STAB_FAILOVER_SEEDS=<seed> ./failover_test
@@ -472,6 +487,38 @@ TEST(FailoverProperty, LossyKillCampaignsHoldInvariants) {
       return;
     }
   }
+}
+
+// A promoted primary keeps the original's flow control and batching: with
+// send_window and coalescing on, the winner's adopted stream goes out in
+// DATABATCH frames. The mirrors send nothing on their own streams, so every
+// batch the winner sends belongs to the adopted stream.
+TEST(Failover, PromotedPrimaryCoalescesUnderSendWindow) {
+  std::string digests[2];
+  for (int run = 0; run < 2; ++run) {
+    FailoverCluster c(4, /*seed=*/0xD15C, windowed_options());
+    std::vector<uint64_t> coalesced_at_kill(c.num_nodes(), 0);
+    c.sim.schedule_at(seconds(2), [&c, &coalesced_at_kill] {
+      for (NodeId id = 1; id < c.num_nodes(); ++id)
+        coalesced_at_kill[id] = c.node(id).stats().frames_coalesced;
+    });
+    run_kill_primary_campaign(c, /*loss=*/0.05, /*own_traffic=*/false);
+    c.check_failover_converged(0);
+    c.check_waits_resolved();
+    digests[run] = c.digest() + c.stats_digest();
+
+    NodeId winner = kInvalidNode;
+    for (NodeId id = 1; id < c.num_nodes(); ++id)
+      if (c.manager(id).promoted()) winner = id;
+    ASSERT_NE(winner, kInvalidNode);
+#if STAB_OBS_ENABLED
+    EXPECT_EQ(coalesced_at_kill[winner], 0u);
+    EXPECT_GT(c.node(winner).stats().frames_coalesced,
+              coalesced_at_kill[winner]);
+#endif
+  }
+  // The windowed campaign replays deterministically per seed.
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 // --- zombie fencing ----------------------------------------------------------

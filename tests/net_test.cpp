@@ -437,19 +437,20 @@ bool wait_eof(int fd) {
   return ::recv(fd, &byte, 1, 0) == 0;
 }
 
-// A client that introduces itself as node 0 with a valid HELLO, then sends
-// a DATA prefix declaring `body_len`, must not take node 1 down. Its HELLO
-// replaces node 0's connection; once node 1 is done with the hostile frame
-// the raw socket is closed (at once when the prefix is malformed, when node
-// 0 redials otherwise), and node 0's later frames still arrive.
+// A client that introduces itself with a valid HELLO as node 0, which has no
+// live connection (node 0 is not running), then sends a DATA prefix
+// declaring `body_len`, must not take node 1 down: node 1 closes the raw
+// socket promptly — the prefix is shorter than its header, or declares a
+// body past kMaxFrameBody — and node 2's later frames still arrive.
 void expect_survives_hostile_prefix(uint16_t base_port, uint32_t body_len) {
-  auto addrs = loopback_addrs(2, base_port);
-  TcpTransport a(0, addrs), b(1, addrs);
-  ASSERT_TRUE(a.wait_connected(seconds(5)));
-  ASSERT_TRUE(b.wait_connected(seconds(5)));
+  auto addrs = loopback_addrs(3, base_port);
+  TcpTransport b(1, addrs), c(2, addrs);
+  for (int i = 0; i < 5000 && b.connected_peers() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(b.connected_peers(), 1u);
   std::atomic<int> got{0};
   b.set_receive_handler([&](NodeId src, BytesView frame, uint64_t) {
-    if (src == 0 && to_string(frame) == "after") ++got;
+    if (src == 2 && to_string(frame) == "after") ++got;
   });
 
   int fd = raw_connect(addrs[1].port);
@@ -458,27 +459,90 @@ void expect_survives_hostile_prefix(uint16_t base_port, uint32_t body_len) {
   for (uint32_t v : {8u, 1u, 0u}) w.u32(v);             // HELLO from node 0
   for (uint32_t v : {body_len, 2u, 0u, 0u}) w.u32(v);   // hostile DATA prefix
   Bytes wire = std::move(w).take();
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  EXPECT_TRUE(wait_eof(fd));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  ::close(fd);
+
+  for (int i = 0; i < 500 && got == 0; ++i) {
+    c.send(1, to_bytes("after"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(got.load(), 0);
+}
+
+TEST(Tcp, FramePrefixShorterThanHeaderClosesOnlyThatConnection) {
+  expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 11),
+                                 4);
+}
+
+// A prefix declaring a body past the bound (here near 4 GiB, which must not
+// wrap either) is refused at once instead of buffered.
+TEST(Tcp, FramePrefixNear4GiBDoesNotWrap) {
+  expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 18),
+                                 0xFFFFFFFCu);
+}
+
+TEST(Tcp, FramePrefixJustPastBodyBoundIsRefused) {
+  expect_survives_hostile_prefix(
+      static_cast<uint16_t>(pick_base_port() + 26),
+      static_cast<uint32_t>(TcpTransport::kMaxFrameBody + 8 + 1));
+}
+
+TEST(Tcp, SendRefusesBodyPastBound) {
+  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 4));
+  TcpTransport a(0, addrs);
+  const size_t too_big = TcpTransport::kMaxFrameBody + 1;
+  EXPECT_THROW(a.send(1, Bytes(too_big)), std::invalid_argument);
+  EXPECT_THROW(a.send_shared(1, std::make_shared<const Bytes>(too_big)),
+               std::invalid_argument);
+  EXPECT_EQ(a.pending_bytes(1), 0u);
+}
+
+// Nothing authenticates a HELLO, so one that claims a live peer must not
+// displace that peer's connection: the impostor's socket is closed, and the
+// real node 0 keeps its session with no disconnect on either side.
+TEST(Tcp, HelloClaimingLivePeerIsClosed) {
+  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 34));
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+  ASSERT_TRUE(b.wait_connected(seconds(5)));
+  std::atomic<int> before{0}, after{0};
+  b.set_receive_handler([&](NodeId src, BytesView frame, uint64_t) {
+    if (src != 0) return;
+    if (to_string(frame) == "before") ++before;
+    if (to_string(frame) == "after") ++after;
+  });
+  a.send(1, to_bytes("before"));
+  for (int i = 0; i < 2000 && before == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(before.load(), 1);
+#if STAB_OBS_ENABLED
+  obs::Counter& disconnects = obs::global().counter("net.tcp.disconnects");
+  const uint64_t disconnects_before = disconnects.value();
+#endif
+
+  int fd = raw_connect(addrs[1].port);
+  ASSERT_GE(fd, 0);
+  Writer w;
+  for (uint32_t v : {8u, 1u, 0u}) w.u32(v);  // HELLO claiming node 0
+  Bytes wire = std::move(w).take();
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(wire.size()));
   EXPECT_TRUE(wait_eof(fd));
   ::close(fd);
 
-  for (int i = 0; i < 500 && got == 0; ++i) {
-    a.send(1, to_bytes("after"));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GT(got.load(), 0);
-  EXPECT_TRUE(b.wait_connected(seconds(5)));
-}
-
-TEST(Tcp, FramePrefixShorterThanHeaderClosesOnlyThatConnection) {
-  expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 50),
-                                 4);
-}
-
-TEST(Tcp, FramePrefixNear4GiBDoesNotWrap) {
-  expect_survives_hostile_prefix(static_cast<uint16_t>(pick_base_port() + 52),
-                                 0xFFFFFFFCu);
+  a.send(1, to_bytes("after"));
+  for (int i = 0; i < 2000 && after == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(after.load(), 1);
+  EXPECT_EQ(a.connected_peers(), 1u);
+  EXPECT_EQ(b.connected_peers(), 1u);
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(disconnects.value(), disconnects_before);
+#endif
 }
 
 // A connected peer whose frame bodies do not decode must not take the
